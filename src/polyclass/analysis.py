@@ -27,6 +27,7 @@ This module decides the properties the class-group machinery feeds on:
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
@@ -193,6 +194,7 @@ def k_number(p: Polytope) -> UnitChain:
         return False
 
     dfs(frozenset(range(len(pts))), frozenset(), [])
+    del dfs  # a recursive closure is a reference cycle: free its memo now, not at the next gc
     return UnitChain(
         k=len(best),
         points=tuple(pts[i] for i, _ in best),
@@ -420,22 +422,16 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None,
     ``workers`` > 1 fans out over a thread pool (the work is pure and
     per-polytope; aggregation happens in input order either way, so the
     report is deterministic).  ``progress`` is called with the running
-    count of finished polytopes.
+    count of finished polytopes, in input order, in both cases.
     """
     items = list(polytopes)
-
-    def run(p: Polytope) -> dict[str, Verdict]:
-        return polytope_checks(p)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, items))
-    else:
-        results = []
-        for i, p in enumerate(items):
-            results.append(run(p))
+    results: list[dict[str, Verdict]] = []
+    pool = ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext()
+    with pool as ex:
+        for res in (ex.map if ex else map)(polytope_checks, items):
+            results.append(res)
             if progress:
-                progress(i + 1)
+                progress(len(results))
     counts = {name: [0, 0, 0] for name in CHECK_NAMES}
     first: dict[str, Polytope] = {}
     for p, res in zip(items, results):

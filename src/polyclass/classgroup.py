@@ -48,7 +48,9 @@ def class_matrix(p: Polytope) -> ClassMatrix:
     if p.dim < 1:
         raise ValueError("class matrix requires a polytope of dimension >= 1")
     pts = p.lattice_points
-    rows = [tuple(f.values[pt] for pt in pts) for f in p.facets]
+    # A list first: tuple() of a generator resizes, and resized tuples of length
+    # 11-19 fill their free lists (2000 each) without being reused from them.
+    rows = [tuple([f.values[pt] for pt in pts]) for f in p.facets]
     return ClassMatrix(
         matrix=IntMatrix.from_rows(rows, len(pts)),
         row_labels=tuple(f.facet_id for f in p.facets),

@@ -10,6 +10,11 @@ for each facet the affine form is scaled so that its values on the
 lattice points of the polytope are nonnegative integers with gcd 1 and
 vanish exactly on the facet.  That value vector is canonical even though
 the supporting form itself is only determined up to the affine hull.
+
+Facets come from an exact integer double description of the cone of
+valid forms, in coordinates where the points span their affine hull.
+Each facet's form is the one the lex-first scan over dim-sized point
+subsets would reach, so the forms do not depend on the method.
 """
 
 from __future__ import annotations
@@ -17,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product as iterproduct
+from itertools import product as iterproduct
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .errors import InvariantViolation
 from .intlinalg import (
     IntMatrix,
     _echelon_int,
-    det_laplace,
     hnf_row_lattice,
     int_kernel_basis,
 )
@@ -42,21 +47,6 @@ def _eval_form(form: Form, pt: Sequence[int]) -> int:
         if c:
             s += c * x
     return s
-
-
-def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, exact, sign possibly flipped.
-
-    Every caller only cares about |det| or about det == 0, so the row
-    swaps inside the Bareiss elimination are not sign-tracked.
-    """
-    n = len(rows)
-    if n <= 4:
-        return det_laplace(rows)
-    ech, pivots = _echelon_int(rows, n)
-    if len(pivots) < n:
-        return 0
-    return ech[-1][pivots[-1]]
 
 
 @dataclass(frozen=True)
@@ -297,16 +287,29 @@ class Polytope:
 
 
 def _hull_candidates(verts: tuple[Point, ...], d: int):
-    """Affine hull forms and facet candidates of conv(verts).
+    """Affine hull forms and facets of conv(verts), by double description.
 
-    Returns (affine_forms, {(form, on_indices)}): affine_forms are
-    primitive integer forms vanishing on every point; each facet
-    candidate is a primitive integer form, oriented >= 0 on all points,
-    together with the sorted tuple of indices of points it vanishes on.
-    Works for any generating set, not just vertex sets, because every
-    facet of the hull passes through affinely independent input points.
+    Returns (affine_forms, [(form, on_indices)]): affine_forms are
+    primitive integer forms vanishing on every point; each facet is a
+    primitive integer form, oriented >= 0 on all points, with the sorted
+    tuple of indices of the points it vanishes on (non-vertex points
+    included), in order of those tuples.
+
+    The points are projected onto the k pivot columns of their
+    differences, an affine isomorphism of aff(P) onto Q^k.  There the
+    facets are the extreme rays of the cone of forms y with
+    <y, (x, 1)> >= 0 on every point x, found by Motzkin's double
+    description (Fukuda & Prodon 1996): start from the simplicial cone of
+    the greedy affinely independent k+1 points, add one point at a time,
+    and join a ray on its positive side with one on its negative side
+    when the combinatorial test finds them adjacent.  Rays are primitive;
+    zero sets are bitmasks over point indices.
+
+    Each facet's form is the one a scan over k-subsets of the points
+    would find: for k = d the ray itself, the unique primitive form; else
+    the spanning form of the facet's points, which is the same for every
+    spanning subset of them.
     """
-    n = len(verts)
     v0 = verts[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
     _, pivots = _echelon_int(diffs, d)
@@ -317,87 +320,84 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
             [v + (1,) for v in verts], d + 1)]
     if k == 0:
         return aff, []
-    found: dict[tuple[int, ...], Form] = {}
-    found_sets: list[frozenset[int]] = []
-    full_dim = (k == d)
-    for sub in combinations(range(n), k):
-        subset = set(sub)
-        if any(subset <= fs for fs in found_sets):
+    rows = [tuple(v[c] for c in pivots) + (1,) for v in verts]
+    base = _greedy_independent(rows)
+    rays = []
+    for i in base:
+        ray = int_kernel_basis([rows[b] for b in base if b != i], k + 1)[0]
+        if _dot(ray, rows[i]) < 0:
+            ray = tuple(-c for c in ray)
+        rays.append((ray, sum(1 << b for b in base if b != i)))
+    for i, row in enumerate(rows):
+        if i in base:
             continue
-        pts = [verts[i] for i in sub]
-        if full_dim:
-            form = _spanning_form_full(pts, d)
-        else:
-            form = _spanning_form_general(pts, verts, d, len(aff))
-        if form is None:
-            continue
-        vals = [_eval_form(form, v) for v in verts]
-        sign = 0
-        ok = True
-        for val in vals:
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for ray, zs in rays:
+            val = _dot(ray, row)
+            if val < 0:
+                neg.append((ray, zs, val))
+                continue
             if val > 0:
-                if sign < 0:
-                    ok = False
-                    break
-                sign = 1
-            elif val < 0:
-                if sign > 0:
-                    ok = False
-                    break
-                sign = -1
-        if not ok or sign == 0:
-            continue
-        if sign < 0:
-            form = (tuple(-c for c in form[0]), -form[1])
-            vals = [-v for v in vals]
-        on = tuple(i for i, val in enumerate(vals) if val == 0)
-        if on not in found:
-            found[on] = form
-            found_sets.append(frozenset(on))
-    return aff, [(form, on) for on, form in found.items()]
+                pos.append((ray, zs, val))
+            kept.append((ray, zs if val else zs | bit))
+        for p, zp, vp in pos:
+            for n, zn, vn in neg:
+                common = zp & zn
+                if common.bit_count() < k - 1 or any(
+                        zs & common == common and zs != zp and zs != zn for _, zs in rays):
+                    continue
+                kept.append((_primitive([vp * b - vn * a for a, b in zip(p, n)]), common | bit))
+        rays = kept
+    facets = []
+    for ray, zs in rays:
+        on = tuple(i for i in range(len(verts)) if zs >> i & 1)
+        if k == d:
+            form = (ray[:d], ray[d])
+        else:
+            form = _spanning_form_general([verts[i] for i in on], verts, d)
+            if any(_eval_form(form, v) < 0 for v in verts):
+                form = (tuple(-c for c in form[0]), -form[1])
+        facets.append((form, on))
+    return aff, sorted(facets, key=lambda fc: fc[1])
 
 
-def _spanning_form_full(pts: list[Point], d: int) -> Form | None:
-    """Form vanishing on d points in R^d via the generalized cross product.
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
-    Normal component j is the signed minor of the (d-1) x d difference
-    matrix with column j removed; returns None when the points are
-    affinely dependent.
+
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
+def _greedy_independent(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the rows independent of the rows kept before them."""
+    basis: list[tuple[int, tuple[int, ...], int]] = []
+    for i, v in enumerate(rows):
+        for c, b, _ in basis:
+            if v[c]:
+                v = [x * b[c] - v[c] * y for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            basis.append((lead, _primitive(v), i))
+    return [i for _, _, i in basis]
+
+
+def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...], d: int) -> Form:
+    """Form vanishing on the points of a facet of a lower-dimensional hull.
+
+    The kernel of the stacked rows (p, 1) holds the affine hull equations
+    and one more form; the first kernel basis vector not vanishing on
+    every point of ``verts`` represents the facet's hyperplane.  The
+    basis depends only on the row space, so any spanning subset of the
+    facet's points gives the same form.
     """
-    p0 = pts[0]
-    rows = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    normal = []
-    for j in range(d):
-        minor = [r[:j] + r[j + 1:] for r in rows]
-        det = _det_int(minor)
-        normal.append(det if j % 2 == 0 else -det)
-    if not any(normal):
-        return None
-    g = 0
-    for v in normal:
-        g = gcd(g, v)
-    normal = [v // g for v in normal]
-    b = -sum(c * x for c, x in zip(normal, p0))
-    return tuple(normal), b
-
-
-def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...],
-                           d: int, aff_count: int) -> Form | None:
-    """Form vanishing on a size-k point set inside a k-dim affine hull.
-
-    The kernel of the stacked rows (p, 1) consists of all affine forms
-    vanishing on the set; it must exceed the affine hull equation space
-    by exactly one dimension, and any kernel vector not vanishing on the
-    whole polytope represents the candidate hyperplane.
-    """
-    kern = int_kernel_basis([p + (1,) for p in pts], d + 1)
-    if len(kern) != aff_count + 1:
-        return None
-    for vec in kern:
+    for vec in int_kernel_basis([p + (1,) for p in pts], d + 1):
         form = (vec[:d], vec[d])
         if any(_eval_form(form, v) for v in verts):
             return form
-    return None
+    raise InvariantViolation("points do not span a facet hyperplane")
 
 
 def _is_vertex(verts: tuple[Point, ...], idx: int, d: int,

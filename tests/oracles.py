@@ -2,8 +2,9 @@
 
 Everything here favours obviousness over speed: determinants by permutation
 sums, rank by plain rational elimination, minor gcds by full enumeration,
-planar hulls by the monotone chain, planar lattice point counts by Pick's
-theorem.  None of it shares code with the polyclass internals.
+facets by trying every subset of dim-many points, planar hulls by the
+monotone chain, planar lattice point counts by Pick's theorem.  None of it
+shares code with the polyclass internals.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ def det_by_permutations(rows: list[list[int]]) -> int:
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         term = 1
         for i in range(n):
             term *= rows[i][perm[i]]
-        total += -term if inversions % 2 else term
+        if term:
+            inversions = sum(
+                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+            total += -term if inversions % 2 else term
     return total if n else 1
 
 
@@ -54,11 +56,12 @@ def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def rank_by_elimination(m: IntMatrix) -> int:
-    """Rank over the rationals by textbook Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in m.entries]
-    r = 0
-    for col in range(m.cols):
+def pivot_columns(rows: list[list[int]], ncols: int) -> list[int]:
+    """Pivot columns of the reduced row echelon form, by rational elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
@@ -67,8 +70,59 @@ def rank_by_elimination(m: IntMatrix) -> int:
             if i != r and rows[i][col]:
                 f = rows[i][col] / rows[r][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def rank_by_elimination(m: IntMatrix) -> int:
+    """Rank over the rationals by textbook Gaussian elimination."""
+    return len(pivot_columns([list(row) for row in m.entries], m.cols))
+
+
+def hull_facets_by_subsets(points: list[tuple[int, ...]]):
+    """Facets of conv(points) by trying every subset of dim-many points.
+
+    The points are first written in the coordinates of the pivot columns
+    of their differences, where they span their affine hull.  Each
+    k-subset then spans a candidate hyperplane, whose form is the
+    generalized cross product of the homogenized subset (signed maximal
+    minors, each expanded by permutations); it is a facet when every
+    point lies on one side.
+
+    Returns a list, sorted by index tuple, of (on, values, form): ``on``
+    the sorted indices of the points on the facet, ``values`` the
+    primitive nonnegative values of the facet on all points, and ``form``
+    the primitive integer form (a, b), nonnegative on the points, when
+    they are full-dimensional, None otherwise.
+    """
+    n, d = len(points), len(points[0])
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    cols = pivot_columns(diffs, d)
+    k = len(cols)
+    if k == 0:
+        return []
+    rows = [[p[c] for c in cols] + [1] for p in points]
+    facets = {}
+    found: list[set[int]] = []
+    for sub in combinations(range(n), k):
+        # A subset of a known facet spans that facet or nothing.
+        if any(on.issuperset(sub) for on in found):
+            continue
+        mat = [rows[i] for i in sub]
+        form = [(-1) ** j * det_by_permutations([r[:j] + r[j + 1:] for r in mat])
+                for j in range(k + 1)]
+        vals = [sum(a * x for a, x in zip(form, row)) for row in rows]
+        if min(vals) < 0 < max(vals) or not any(vals):
+            continue
+        sign = 1 if max(vals) > 0 else -1
+        g_vals = gcd(*vals)
+        g_form = gcd(*form)
+        on = tuple(i for i, v in enumerate(vals) if v == 0)
+        found.append(set(on))
+        facets[on] = (tuple(sign * v // g_vals for v in vals),
+                      (tuple(sign * c // g_form for c in form[:d]), sign * form[d] // g_form)
+                      if k == d else None)
+    return sorted((on, vals, form) for on, (vals, form) in facets.items())
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -285,9 +285,11 @@ class TestVerifyFamily:
         assert verify_family(fam, workers=4) == verify_family(fam, workers=1)
 
     def test_progress_callback(self):
-        seen = []
-        verify_family([fixture("P1"), fixture("P2")], progress=seen.append)
-        assert len(seen) == 2
+        for workers in (None, 2):
+            seen = []
+            verify_family([fixture("P1"), fixture("P2"), fixture("P3")],
+                          workers=workers, progress=seen.append)
+            assert seen == [1, 2, 3]
 
     def test_skip_accounting(self):
         report = verify_family([fixture("P1"), fixture("EX38")])
