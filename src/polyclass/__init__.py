@@ -54,11 +54,10 @@ from .intlinalg import (
     hnf_row_lattice,
     in_row_lattice,
     int_kernel_basis,
-    kernel_basis,
     rank,
     snf,
 )
-from .polytope import FacetData, Hyperplane, Polytope
+from .polytope import FacetData, Polytope
 from .report import AnalysisReport, analyze
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "ClassMatrix",
     "FacetData",
     "Graph",
-    "Hyperplane",
     "IntMatrix",
     "InvariantViolation",
     "Polytope",
@@ -98,7 +96,6 @@ __all__ = [
     "is_normal_bruteforce",
     "is_torsionfree",
     "k_number",
-    "kernel_basis",
     "order_polytope",
     "polytope_checks",
     "product",

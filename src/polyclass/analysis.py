@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Literal
 from .classgroup import class_group
 from .errors import InvariantViolation
 from .intlinalg import in_row_lattice
-from .polytope import Form, Point, Polytope, _eval_form
+from .polytope import Point, Polytope, _eval_form
 
 Verdict = bool | None
 
@@ -48,10 +48,6 @@ def is_compressed(p: Polytope) -> bool:
     if p.dim < 1:
         raise ValueError("compressedness needs dimension >= 1")
     return all(v in (0, 1) for f in p.facets for v in f.values.values())
-
-
-def _scaled_forms(forms: Iterable[Form], h: int) -> list[Form]:
-    return [(a, h * b) for a, b in forms]
 
 
 def is_normal(p: Polytope) -> bool:

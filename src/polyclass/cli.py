@@ -7,8 +7,9 @@ sampled families and reports a pass-fail table.
 
 Exit codes: 0 success, 1 input or parse error (malformed JSON, floats
 where integers are required, points that are not vertices), 2 internal
-invariant violation.  The environment variable POLYCLASS_THREADS caps
-worker parallelism for ``verify``.
+invariant violation.  Validation errors count as bad input only where the
+input becomes polytopes (``analyze``'s ``Polytope``, all of ``make``, the
+``verify`` family); any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from functools import cache
+from typing import Any, Iterator, Sequence
 
 from . import families
 from .analysis import CHECK_NAMES, verify_family
@@ -25,11 +28,17 @@ from .errors import InvariantViolation
 from .polytope import Polytope
 from .report import analyze
 
-THREADS_ENV = "POLYCLASS_THREADS"
-
-
 class FileFormatError(ValueError):
     """An input file failed to parse or validate."""
+
+
+@contextmanager
+def _input_boundary() -> Iterator[None]:
+    """Report a validation error raised while reading the input as bad input."""
+    try:
+        yield
+    except (ValueError, TypeError) as e:
+        raise FileFormatError(str(e)) from e
 
 
 def _load_json(path: str) -> Any:
@@ -150,7 +159,8 @@ def _spec_int(spec: str, arg: str) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     name, verts = load_polytope_file(args.file)
-    p = Polytope(verts)
+    with _input_boundary():
+        p = Polytope(verts)
     rep = analyze(p, name=name)
     if args.json:
         sys.stdout.write(rep.to_json())
@@ -159,6 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@_input_boundary()
 def _cmd_make(args: argparse.Namespace) -> int:
     ctor = args.ctor
     params = args.params
@@ -217,32 +228,21 @@ def _cmd_make(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise FileFormatError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise FileFormatError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     polys: list[tuple[str, Polytope]] = []
     explicit_family = args.exhaustive or args.samples is not None
-    if args.fixtures or not explicit_family:
-        for fname in families.fixture_names():
-            polys.append((f"fixture {fname}", families.fixture(fname)))
-    if args.exhaustive:
-        for i, p in enumerate(families.all_01_polytopes(args.dim)):
-            polys.append((f"exhaustive dim {args.dim} #{i}", p))
-    if args.samples is not None:
-        for i, p in enumerate(families.random_01_polytopes(args.dim, args.samples, args.seed)):
-            polys.append((f"sample dim {args.dim} #{i} (seed {args.seed})", p))
-    report = verify_family((p for _, p in polys), workers=_worker_count())
+    with _input_boundary():
+        if args.fixtures or not explicit_family:
+            for fname in families.fixture_names():
+                polys.append((f"fixture {fname}", families.fixture(fname)))
+        if args.exhaustive:
+            for i, p in enumerate(families.all_01_polytopes(args.dim)):
+                polys.append((f"exhaustive dim {args.dim} #{i}", p))
+        if args.samples is not None:
+            for i, p in enumerate(families.random_01_polytopes(args.dim, args.samples,
+                                                               args.seed)):
+                polys.append((f"sample dim {args.dim} #{i} (seed {args.seed})", p))
+    report = verify_family(p for _, p in polys)
     width = max(len(n) for n in CHECK_NAMES) + 2
     print(f"verified {report.total} polytope(s)")
     print(f"{'check':<{width}}{'pass':>7}{'fail':>7}{'skip':>7}")
@@ -257,6 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyclass",
@@ -302,9 +303,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InvariantViolation as e:

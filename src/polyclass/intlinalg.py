@@ -1,21 +1,21 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works with Python's arbitrary-precision ``int`` and
-``fractions.Fraction``; there is no floating point and no overflow.  The
-module provides the normal forms the rest of the package is built on:
+Everything here works with Python's arbitrary-precision ``int``; there
+is no floating point, no overflow and no ``Fraction``: eliminations are
+fraction-free.  The module provides the normal forms the rest of the
+package is built on:
 
 * ``snf`` -- Smith normal form invariant factors and rank,
 * ``gcd_minors`` -- gcd of all i-by-i minors, the classical oracle for
   the invariant factors (s_i = g_i / g_{i-1}),
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
   by the rows, plus a membership test,
-* ``kernel_basis`` / ``int_kernel_basis`` -- exact right null spaces.
+* ``int_kernel_basis`` -- a primitive integer basis of the right null space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -262,23 +262,12 @@ def rank(m: IntMatrix) -> int:
     return len(pivots)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    lcm = 1
-    for v in vec:
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return tuple(ints)
-    ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """``vec`` divided by the gcd of its entries; the zero vector is kept."""
+    g = gcd(*vec)
+    if g > 1:
+        return tuple(v // g for v in vec)
+    return tuple(vec)
 
 
 def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -288,6 +277,14 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     integers with gcd 1 and leading entry positive.  (This is a basis of
     the null space as a Q-vector space, not necessarily of the integer
     kernel lattice, which is all the geometry code needs.)
+
+    Solving for a pivot scales the whole vector by just enough of the
+    pivot entry to keep the back-substitution in integers.
+
+    >>> int_kernel_basis([[1, 1]], 2)
+    [(1, -1)]
+    >>> int_kernel_basis([[1, 0], [0, 1]], 2)
+    []
     """
     ech, pivot_cols = _echelon_int(rows, ncols)
     pivset = set(pivot_cols)
@@ -295,52 +292,25 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     for f in range(ncols):
         if f in pivset:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = 1
         for i in reversed(range(len(pivot_cols))):
             c = pivot_cols[i]
             row = ech[i]
-            s = Fraction(0)
+            s = 0
             for j in range(c + 1, ncols):
                 if row[j] and x[j]:
                     s += row[j] * x[j]
-            x[c] = -s / row[c]
-        basis.append(_primitive(x))
+            g = gcd(s, row[c])
+            scale = row[c] // g
+            if scale != 1:
+                x = [v * scale for v in x]
+            x[c] = -s // g
+        vec = _primitive(x)
+        if next(v for v in vec if v) < 0:
+            vec = tuple(-v for v in vec)
+        basis.append(vec)
     return basis
-
-
-def kernel_basis(m: IntMatrix | Sequence[Sequence[Fraction | int]],
-                 cols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space of a rational matrix.
-
-    Accepts an ``IntMatrix`` or raw rows of ints/Fractions.  Rows are
-    cleared to integers (row scaling does not change the kernel) and the
-    exact integer path does the elimination.
-
-    >>> kernel_basis(IntMatrix.from_rows([[1, 1]]))
-    [(Fraction(1, 1), Fraction(-1, 1))]
-    >>> kernel_basis(IntMatrix.identity(2))
-    []
-    """
-    if isinstance(m, IntMatrix):
-        rows = m.entries
-        ncols = m.cols
-    else:
-        rows = [tuple(Fraction(v) for v in row) for row in m]
-        if cols is not None:
-            ncols = cols
-        elif rows:
-            ncols = len(rows[0])
-        else:
-            raise ValueError("cannot infer column count of an empty matrix")
-    int_rows = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            d = Fraction(v).denominator
-            lcm = lcm // gcd(lcm, d) * d
-        int_rows.append([int(v * lcm) for v in row])
-    return [tuple(Fraction(v) for v in vec) for vec in int_kernel_basis(int_rows, ncols)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

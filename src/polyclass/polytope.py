@@ -14,7 +14,9 @@ the supporting form itself is only determined up to the affine hull.
 Facets come from an exact integer double description of the cone of
 valid forms, in coordinates where the points span their affine hull.
 Each facet's form is the one the lex-first scan over dim-sized point
-subsets would reach, so the forms do not depend on the method.
+subsets would reach, so the forms do not depend on the method.  Vertices
+are read off the facet incidences.  All arithmetic is on ``int``; only
+:meth:`Polytope.contains` also takes ``Fraction`` coordinates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import InvariantViolation
 from .intlinalg import (
     IntMatrix,
     _echelon_int,
+    _primitive,
     hnf_row_lattice,
     int_kernel_basis,
 )
@@ -40,7 +43,7 @@ Point = tuple[int, ...]
 Form = tuple[tuple[int, ...], int]
 
 
-def _eval_form(form: Form, pt: Sequence[int]) -> int:
+def _eval_form(form: Form, pt: Sequence[int | Fraction]) -> int | Fraction:
     a, b = form
     s = b
     for c, x in zip(a, pt):
@@ -50,42 +53,20 @@ def _eval_form(form: Form, pt: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """Affine hyperplane {x : <a, x> + b = 0} with rational coefficients."""
-
-    a: tuple[Fraction, ...]
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        if not any(self.a):
-            raise ValueError("hyperplane normal must be nonzero")
-
-    def evaluate(self, pt: Sequence[int | Fraction]) -> Fraction:
-        if len(pt) != len(self.a):
-            raise ValueError("point dimension mismatch")
-        return sum((c * x for c, x in zip(self.a, pt)), start=self.b)
-
-
-@dataclass(frozen=True)
 class FacetData:
-    """One facet: supporting hyperplane plus its normalized value vector.
+    """One facet: primitive integer form plus its normalized value vector.
 
-    ``hyperplane`` is scaled so that evaluating it at a lattice point of
-    the parent polytope gives exactly ``values[pt]``.  ``int_form`` is
-    the primitive integer representative of the same hyperplane and
-    ``divisor`` the gcd that relates them: values[pt] = int_form(pt) / divisor.
+    ``int_form`` is the primitive integer form of the supporting
+    hyperplane, >= 0 on the parent polytope, and ``divisor`` the gcd of
+    its values on the lattice points: values[pt] = int_form(pt) / divisor.
     ``vertex_set`` holds indices into the parent's vertex tuple.
     """
 
     facet_id: int
-    hyperplane: Hyperplane
     vertex_set: tuple[int, ...]
     values: Mapping[Point, int]
     int_form: Form
     divisor: int
-
-    def value(self, pt: Point) -> int:
-        return self.values[pt]
 
 
 def _validate_vertices(points: Iterable[Sequence[int]],
@@ -130,8 +111,8 @@ class Polytope:
                     ambient_dim: int | None = None) -> "Polytope":
         pts = [tuple(int(v) for v in p) for p in points]
         uniq, d = _validate_vertices(set(pts), ambient_dim)
-        aff, cands = _hull_candidates(uniq, d)
-        keep = [p for i, p in enumerate(uniq) if _is_vertex(uniq, i, d, aff, cands)]
+        _, cands = _hull_candidates(uniq, d)
+        keep = [p for p, vertex in zip(uniq, _vertex_flags(len(uniq), cands)) if vertex]
         return cls(keep, d)
 
     def __eq__(self, other: object) -> bool:
@@ -167,11 +148,10 @@ class Polytope:
         some supplied point is not a vertex.
         """
         aff, cands = _hull_candidates(self.vertices, self.ambient_dim)
-        for i in range(len(self.vertices)):
-            if not _is_vertex(self.vertices, i, self.ambient_dim, aff, cands):
-                raise ValueError(f"point {self.vertices[i]} is not a vertex of the hull")
-        facets = tuple(sorted(cands, key=lambda fc: fc[1]))
-        return tuple(aff), facets
+        for v, vertex in zip(self.vertices, _vertex_flags(len(self.vertices), cands)):
+            if not vertex:
+                raise ValueError(f"point {v} is not a vertex of the hull")
+        return tuple(aff), tuple(cands)
 
     @property
     def affine_hull_forms(self) -> tuple[Form, ...]:
@@ -237,11 +217,8 @@ class Polytope:
                 vals = [v // g for v in vals]
             else:
                 g = 1
-            a, b = form
-            hyp = Hyperplane(tuple(Fraction(c, g) for c in a), Fraction(b, g))
             out.append(FacetData(
                 facet_id=fid,
-                hyperplane=hyp,
                 vertex_set=vset,
                 values=MappingProxyType(dict(zip(pts, vals))),
                 int_form=form,
@@ -254,14 +231,8 @@ class Polytope:
         if len(pt) != self.ambient_dim:
             raise ValueError("point dimension mismatch")
         aff, facets = self._hull
-        q = [Fraction(x) for x in pt]
-        for a, b in aff:
-            if sum((c * x for c, x in zip(a, q)), start=Fraction(b)) != 0:
-                return False
-        for (a, b), _ in facets:
-            if sum((c * x for c, x in zip(a, q)), start=Fraction(b)) < 0:
-                return False
-        return True
+        return (all(_eval_form(form, pt) == 0 for form in aff)
+                and all(_eval_form(form, pt) >= 0 for form, _ in facets))
 
     def is_simple(self) -> bool:
         """True when every vertex lies on exactly dim facets."""
@@ -366,11 +337,6 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    return tuple(v // g for v in vec)
-
-
 def _greedy_independent(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the rows independent of the rows kept before them."""
     basis: list[tuple[int, tuple[int, ...], int]] = []
@@ -400,13 +366,18 @@ def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...], d: int) -
     raise InvariantViolation("points do not span a facet hyperplane")
 
 
-def _is_vertex(verts: tuple[Point, ...], idx: int, d: int,
-               aff: list[Form], cands) -> bool:
-    """A point is a vertex iff the forms vanishing there cut out a single point."""
-    v = verts[idx]
-    rows = [a for a, _ in aff]
-    for form, _ in cands:
-        if _eval_form(form, v) == 0:
-            rows.append(form[0])
-    _, pivots = _echelon_int(rows, d)
-    return len(pivots) == d
+def _vertex_flags(n: int, cands) -> list[bool]:
+    """Which of the n points are vertices, read off the facet incidences.
+
+    The facets through a point cut out the smallest face containing it,
+    and the points on that face are the intersection of their ``on``
+    sets (all points when no facet passes through it).  A face of
+    dimension >= 1 holds at least two of its generating points, so a
+    point is a vertex iff that intersection is the point alone.
+    """
+    meet = [(1 << n) - 1] * n
+    for _, on in cands:
+        mask = sum(1 << i for i in on)
+        for i in on:
+            meet[i] &= mask
+    return [m == 1 << i for i, m in enumerate(meet)]

@@ -1,17 +1,18 @@
 """Slow reference implementations the fast library code is checked against.
 
 Everything here favours obviousness over speed: determinants by permutation
-sums, rank by plain rational elimination, minor gcds by full enumeration,
-facets by trying every subset of dim-many points, planar hulls by the
-monotone chain, planar lattice point counts by Pick's theorem.  None of it
-shares code with the polyclass internals.
+sums, rank and kernels by plain rational elimination, minor gcds by full
+enumeration, facets by trying every subset of dim-many points, vertices by
+the rank of the facets through them, planar hulls by the monotone chain,
+planar lattice point counts by Pick's theorem.  None of it shares code with
+the polyclass internals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from polyclass import IntMatrix
 
@@ -56,8 +57,11 @@ def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def pivot_columns(rows: list[list[int]], ncols: int) -> list[int]:
-    """Pivot columns of the reduced row echelon form, by rational elimination."""
+def reduced_row_echelon(rows: list[list[int]], ncols: int):
+    """(rows, pivot columns) of the reduced row echelon form over Q.
+
+    Each pivot row is scaled to a leading 1 and cleared above and below.
+    """
     rows = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for col in range(ncols):
@@ -66,12 +70,42 @@ def pivot_columns(rows: list[list[int]], ncols: int) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [a / rows[r][col] for a in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
-                f = rows[i][col] / rows[r][col]
+                f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-    return pivots
+    return rows[:len(pivots)], pivots
+
+
+def pivot_columns(rows: list[list[int]], ncols: int) -> list[int]:
+    """Pivot columns of the reduced row echelon form, by rational elimination."""
+    return reduced_row_echelon(rows, ncols)[1]
+
+
+def kernel_basis_by_elimination(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Null space basis by back-substitution in the reduced row echelon form.
+
+    One vector per free column f: 1 at f, 0 at the other free columns and
+    minus the f-th entry of each pivot row at its pivot.  Each is scaled to
+    a primitive integer vector whose first nonzero entry is positive.
+    """
+    ech, pivots = reduced_row_echelon(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(ech, pivots):
+            x[c] = -row[f]
+        denom = lcm(*(v.denominator for v in x))
+        ints = [int(v * denom) for v in x]
+        g = gcd(*ints)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append(tuple(sign * v // g for v in ints))
+    return basis
 
 
 def rank_by_elimination(m: IntMatrix) -> int:
@@ -123,6 +157,21 @@ def hull_facets_by_subsets(points: list[tuple[int, ...]]):
                       (tuple(sign * c // g_form for c in form[:d]), sign * form[d] // g_form)
                       if k == d else None)
     return sorted((on, vals, form) for on, (vals, form) in facets.items())
+
+
+def hull_vertices_by_rank(points: list[tuple[int, ...]], facets) -> list[tuple[int, ...]]:
+    """The points of ``points`` that are vertices of their hull, in input order.
+
+    ``facets`` is ``hull_facets_by_subsets(points)``.  A point is a vertex
+    iff the facets through it cut out that point alone in the affine hull,
+    i.e. iff their value vectors over all points (each an affine function
+    on the affine hull, which the points span) have rank dim.
+    """
+    d = len(points[0])
+    dim = len(pivot_columns([[a - b for a, b in zip(p, points[0])] for p in points[1:]], d))
+    return [p for i, p in enumerate(points)
+            if len(pivot_columns([list(vals) for on, vals, _ in facets if i in on],
+                                 len(points))) == dim]
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

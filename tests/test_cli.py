@@ -113,6 +113,14 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "invariant violation" in err
 
+    def test_library_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def boom(p, name="polytope"):
+            raise ValueError("synthetic library fault")
+        monkeypatch.setattr(cli, "analyze", boom)
+        path = write_json(tmp_path / "sq.json", {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]})
+        with pytest.raises(ValueError, match="synthetic library fault"):
+            cli.main(["analyze", path])
+
 
 class TestMakeCommand:
     def test_simplex(self, capsys, tmp_path):
@@ -241,17 +249,7 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--dim", "9", "--exhaustive")
         assert code == 1
 
-    def test_thread_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        code, out, _ = run(capsys, "verify", "--fixtures")
-        assert code == 0
-        assert "result: OK" in out
 
-    def test_bad_thread_env_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "zero")
-        code, _, err = run(capsys, "verify", "--fixtures")
-        assert code == 1
-        assert cli.THREADS_ENV in err
-        monkeypatch.setenv(cli.THREADS_ENV, "0")
-        code, _, err = run(capsys, "verify", "--fixtures")
-        assert code == 1
+class TestMain:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

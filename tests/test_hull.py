@@ -35,13 +35,14 @@ def zeros_and_values(form, points) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def assert_hull_matches_oracle(points) -> Polytope:
-    """Compare Polytope.from_points(points) with the oracle on points and vertices."""
+    """Compare Polytope.from_points(points) with the oracles on points and vertices."""
     pts = sorted(set(points))
     p = Polytope.from_points(pts)
     facets = p._hull[1]
     ref = oracles.hull_facets_by_subsets(pts)
     assert sorted(zeros_and_values(form, pts) for form, _ in facets) == \
         [(on, vals) for on, vals, _ in ref]
+    assert list(p.vertices) == oracles.hull_vertices_by_rank(pts, ref)
     if tuple(pts) != p.vertices:
         ref = oracles.hull_facets_by_subsets(list(p.vertices))
     assert [zeros_and_values(form, p.vertices) for form, _ in facets] == \

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from polyclass import IntMatrix, Polytope, cube, dilate, fixture, in_row_lattice, simplex
+from polyclass.polytope import _eval_form
 from support import REEVE_SIMPLEX, SQUARE_PYRAMID
 
 SEGMENT_02 = Polytope([(0,), (2,)])
@@ -113,7 +114,7 @@ class TestFacets:
                 on_facet = {p.vertices[i] for i in fd.vertex_set}
                 for v in pts:
                     if fd.values[v] == 0:
-                        assert fd.hyperplane.evaluate(v) == 0
+                        assert _eval_form(fd.int_form, v) == fd.divisor * fd.values[v]
                     else:
                         assert v not in on_facet
 
@@ -155,7 +156,7 @@ class TestFacets:
             for fd in p.facets:
                 for v in pts:
                     assert fd.values[v] >= 0
-                    assert fd.hyperplane.evaluate(v) == Fraction(fd.values[v])
+                    assert _eval_form(fd.int_form, v) == fd.divisor * fd.values[v]
 
 
 class TestLatticePoints:
