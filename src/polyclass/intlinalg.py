@@ -266,7 +266,7 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """``vec`` divided by the gcd of its entries; the zero vector is kept."""
     g = gcd(*vec)
     if g > 1:
-        return tuple(v // g for v in vec)
+        return tuple([v // g for v in vec])
     return tuple(vec)
 
 
@@ -308,7 +308,7 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
             x[c] = -s // g
         vec = _primitive(x)
         if next(v for v in vec if v) < 0:
-            vec = tuple(-v for v in vec)
+            vec = tuple([-v for v in vec])
         basis.append(vec)
     return basis
 

@@ -15,7 +15,11 @@ Facets come from an exact integer double description of the cone of
 valid forms, in coordinates where the points span their affine hull.
 Each facet's form is the one the lex-first scan over dim-sized point
 subsets would reach, so the forms do not depend on the method.  Vertices
-are read off the facet incidences.  All arithmetic is on ``int``; only
+are read off the facet incidences.  The lattice points of P and of its
+dilations h*P are enumerated by slicing, in lex order: each coordinate
+ranges over the integers the hull of the vertices projected onto the
+coordinates so far allows, so no point outside h*P is visited and none
+is re-tested against the facets.  All arithmetic is on ``int``; only
 :meth:`Polytope.contains` also takes ``Fraction`` coordinates.
 """
 
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iterproduct
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -163,34 +166,106 @@ class Polytope:
         """All integer points of the polytope, in lex order."""
         return self._scaled_lattice_points(1)
 
-    def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
-        """Integer points of the dilation h*P, without building h*P.
+    @cached_property
+    def _slices(self) -> tuple[tuple, ...]:
+        """Per coordinate j, how conv(vertices projected onto x_1..x_j) bounds x_j.
 
-        A form (a, b) valid for P turns into (a, h*b) for h*P, for both
-        the affine hull equations and the facet inequalities.
+        Entry j is (pin, lows, highs).  ``pin`` is an affine hull equation
+        of the projection with a nonzero x_j coefficient, or None; ``lows``
+        and ``highs`` are its facet forms with a positive and a negative
+        x_j coefficient (empty when pinned).  Each is stored as
+        (terms, b, a): the nonzero (index, coefficient) pairs on
+        x_1..x_{j-1}, the constant, and the x_j coefficient, negated for
+        ``highs`` so that it is positive.  The last coordinate reuses the
+        polytope's own hull.
         """
-        aff, facets = self._hull
-        eqs = [(a, h * b) for a, b in aff]
-        ineqs = [(a, h * b) for (a, b), _ in facets]
-        ranges = []
-        for j in range(self.ambient_dim):
-            coords = [v[j] for v in self.vertices]
-            ranges.append(range(h * min(coords), h * max(coords) + 1))
+        n = self.ambient_dim
         out = []
-        for pt in iterproduct(*ranges):
-            ok = True
-            for form in eqs:
-                if _eval_form(form, pt) != 0:
-                    ok = False
-                    break
-            if ok:
-                for form in ineqs:
-                    if _eval_form(form, pt) < 0:
-                        ok = False
-                        break
-            if ok:
-                out.append(pt)
+        for j in range(n):
+            if j == n - 1:
+                aff, facets = self._hull
+            else:
+                proj = sorted({v[:j + 1] for v in self.vertices})
+                aff, facets = _hull_candidates(proj, j + 1)
+            pin = next(((_prefix_terms(a, j), b, a[j]) for a, b in aff if a[j]), None)
+            lows, highs = [], []
+            if pin is None:
+                for (a, b), _ in facets:
+                    if a[j] > 0:
+                        lows.append((_prefix_terms(a, j), b, a[j]))
+                    elif a[j] < 0:
+                        highs.append((_prefix_terms(a, j), b, -a[j]))
+            out.append((pin, tuple(lows), tuple(highs)))
         return tuple(out)
+
+    def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
+        """Integer points of the dilation h*P in lex order, without building h*P.
+
+        A form (a, b) valid for P turns into (a, h*b) for h*P.  The walk
+        fixes x_1, x_2, ... in turn.  Write P_j for the projection of P
+        onto x_1..x_j, so h*P_{j-1} is the projection of h*P_j.  Once
+        x_1..x_{j-1} is a point of h*P_{j-1}, the x_j over it in h*P_j
+        form a nonempty interval, cut out by the forms of P_j with x_j in
+        them alone: every other form is valid on P_{j-1} and holds
+        already.  An affine hull equation with x_j in it pins x_j to one
+        value, kept if integral; otherwise the facet forms give its
+        ceil/floor bounds.  So every integer x_j in range extends the
+        prefix to a point of h*P_j, and at j = n to a point of h*P: no
+        point is re-tested, and the only waste is prefixes whose integer
+        interval is empty.
+        """
+        n = self.ambient_dim
+        if n == 0:
+            return ((),)
+        slices = self._slices
+        last = n - 1
+        out: list[Point] = []
+        x = [0] * n
+        top = [0] * n
+        j = 0
+        while True:
+            pin, lows, highs = slices[j]
+            if pin is not None:
+                terms, b, a = pin
+                s = h * b
+                for i, c in terms:
+                    s += c * x[i]
+                lo, r = divmod(-s, a)
+                hi = lo if r == 0 else lo - 1
+            else:
+                lo = hi = None
+                for terms, b, a in lows:
+                    s = h * b
+                    for i, c in terms:
+                        s += c * x[i]
+                    v = -(s // a)
+                    if lo is None or v > lo:
+                        lo = v
+                for terms, b, a in highs:
+                    s = h * b
+                    for i, c in terms:
+                        s += c * x[i]
+                    v = s // a
+                    if hi is None or v < hi:
+                        hi = v
+            if j == last:
+                prefix = tuple(x[:last])
+                for v in range(lo, hi + 1):
+                    out.append(prefix + (v,))
+            else:
+                x[j] = lo
+                top[j] = hi
+                if lo <= hi:
+                    j += 1
+                    continue
+            # Advance the deepest level that still has room.
+            j -= 1
+            while j >= 0 and x[j] == top[j]:
+                j -= 1
+            if j < 0:
+                return tuple(out)
+            x[j] += 1
+            j += 1
 
     @cached_property
     def facets(self) -> tuple[FacetData, ...]:
@@ -282,7 +357,7 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     spanning subset of them.
     """
     v0 = verts[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in verts[1:]]
+    diffs = [tuple([a - b for a, b in zip(v, v0)]) for v in verts[1:]]
     _, pivots = _echelon_int(diffs, d)
     k = len(pivots)
     aff = []
@@ -291,13 +366,13 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
             [v + (1,) for v in verts], d + 1)]
     if k == 0:
         return aff, []
-    rows = [tuple(v[c] for c in pivots) + (1,) for v in verts]
+    rows = [tuple([v[c] for c in pivots] + [1]) for v in verts]
     base = _greedy_independent(rows)
     rays = []
     for i in base:
         ray = int_kernel_basis([rows[b] for b in base if b != i], k + 1)[0]
         if _dot(ray, rows[i]) < 0:
-            ray = tuple(-c for c in ray)
+            ray = tuple([-c for c in ray])
         rays.append((ray, sum(1 << b for b in base if b != i)))
     for i, row in enumerate(rows):
         if i in base:
@@ -322,15 +397,20 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
         rays = kept
     facets = []
     for ray, zs in rays:
-        on = tuple(i for i in range(len(verts)) if zs >> i & 1)
+        on = tuple([i for i in range(len(verts)) if zs >> i & 1])
         if k == d:
             form = (ray[:d], ray[d])
         else:
             form = _spanning_form_general([verts[i] for i in on], verts, d)
             if any(_eval_form(form, v) < 0 for v in verts):
-                form = (tuple(-c for c in form[0]), -form[1])
+                form = (tuple([-c for c in form[0]]), -form[1])
         facets.append((form, on))
     return aff, sorted(facets, key=lambda fc: fc[1])
+
+
+def _prefix_terms(a: Sequence[int], j: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, coefficient) pairs of ``a`` before index j."""
+    return tuple([(i, c) for i, c in enumerate(a[:j]) if c])
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

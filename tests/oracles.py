@@ -3,15 +3,16 @@
 Everything here favours obviousness over speed: determinants by permutation
 sums, rank and kernels by plain rational elimination, minor gcds by full
 enumeration, facets by trying every subset of dim-many points, vertices by
-the rank of the facets through them, planar hulls by the monotone chain,
-planar lattice point counts by Pick's theorem.  None of it shares code with
-the polyclass internals.
+the rank of the facets through them, lattice points by scanning the whole
+ambient bounding box, planar hulls by the monotone chain, planar lattice
+point counts by Pick's theorem.  None of it shares code with the polyclass
+internals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from polyclass import IntMatrix
@@ -172,6 +173,25 @@ def hull_vertices_by_rank(points: list[tuple[int, ...]], facets) -> list[tuple[i
     return [p for i, p in enumerate(points)
             if len(pivot_columns([list(vals) for on, vals, _ in facets if i in on],
                                  len(points))) == dim]
+
+
+def lattice_points_by_box_scan(p, h: int) -> tuple[tuple[int, ...], ...]:
+    """Integer points of h*P in lex order, by testing every point of its bounding box.
+
+    The box is the product of the coordinate ranges of h times the
+    vertices.  A point is kept when it satisfies every affine hull
+    equation and facet inequality of ``p._hull`` with the constant scaled
+    by h (the hull itself has the subset-scan oracle above).  The cost is
+    the box volume, so use it only where that is small.
+    """
+    aff, facets = p._hull
+    eqs = [(a, h * b) for a, b in aff]
+    ineqs = [(a, h * b) for (a, b), _ in facets]
+    ranges = [range(h * min(col), h * max(col) + 1) for col in zip(*p.vertices)]
+    return tuple(
+        pt for pt in product(*ranges)
+        if all(sum(c * x for c, x in zip(a, pt)) + b == 0 for a, b in eqs)
+        and all(sum(c * x for c, x in zip(a, pt)) + b >= 0 for a, b in ineqs))
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
