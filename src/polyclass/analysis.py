@@ -6,7 +6,9 @@ This module decides the properties the class-group machinery feeds on:
 * ``is_normal`` -- the semigroup generated by the lattice points at
   height 1 saturates inside its own lattice; checked degree by degree
   up to dim - 1, which is sufficient because the Hilbert basis of the
-  cone over the polytope lives in heights below the dimension.
+  cone over the polytope lives in heights below the dimension.  Each
+  level is a set of points packed into single ints, one bit field per
+  coordinate, so a level is built by int additions.
   ``is_normal_bruteforce`` re-decides the same question point by point
   up to height dim and serves as an independent oracle,
 * ``k_number`` -- the longest chain of distinct lattice points and
@@ -29,6 +31,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, Literal
 
 from .classgroup import class_group
@@ -57,22 +60,43 @@ def is_normal(p: Polytope) -> bool:
     the polytope is normal when every point of h*P lying in L at height
     h is a sum of a height-(h-1) semigroup element and a generator.
     Heights 2 .. dim-1 suffice; dimensions at most 2 are always normal.
+
+    Each point z is held as one int, key(z) = sum_i z_i * 2^t_i, so the
+    level sets {s + g} are sets of ints.  The offsets t_i give coordinate
+    i a bit field of width b_i = ((dim-1) * (M_i - m_i)).bit_length(),
+    where m_i and M_i are the least and greatest i-th vertex coordinates.
+    Two points of h*P, h <= dim-1, differ in coordinate i by less than
+    2^b_i, so key is injective on h*P: at the first coordinate where they
+    differ the difference is a nonzero multiple of 2^t_i below
+    2^(t_i + b_i) in size, which the later fields, multiples of
+    2^(t_i + b_i), cannot cancel.  The key is linear, so key(s) + key(g)
+    = key(s + g) exactly: a carry or borrow between fields is plain int
+    arithmetic and loses nothing, and no shift by the m_i is needed.  A
+    point of h*P is thus a sum exactly when its key is in the level set;
+    only the points that miss are tested against the lattice.  The level
+    set holds keys of points of h*P only, so when it is as large as h*P
+    every point is a sum and no key needs computing.
     """
     d = p.dim
     if d <= 2:
         return True
     gens = p.lattice_points
     lat = p.lattice_height_basis
-    prev = set(gens)
-    w = p.ambient_dim
+    weights = []
+    shift = 0
+    for col in zip(*p.vertices):
+        weights.append(1 << shift)
+        shift += ((d - 1) * (max(col) - min(col))).bit_length()
+    gen_keys = [sum(map(mul, g, weights)) for g in gens]
+    prev = set(gen_keys)
     for h in range(2, d):
-        level = set()
-        for s in prev:
-            for g in gens:
-                level.add(tuple(s[i] + g[i] for i in range(w)))
-        for z in p._scaled_lattice_points(h):
-            if z not in level and in_row_lattice(lat, z + (h,)):
-                return False
+        level = {s + g for s in prev for g in gen_keys}
+        pts = p._scaled_lattice_points(h)
+        if len(level) < len(pts):
+            for z in pts:
+                if (sum(map(mul, z, weights)) not in level
+                        and in_row_lattice(lat, z + (h,))):
+                    return False
         prev = level
     return True
 

@@ -265,9 +265,12 @@ def random_01_polytopes(dim: int, count: int, seed: int) -> list[Polytope]:
     Each draw keeps every cube corner independently with probability
     1/2 and is rejected unless the hull is full-dimensional.  Repeats
     across draws are possible; the sequence is deterministic in seed.
+    A negative count is refused with ``ValueError``.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
     rng = random.Random(seed)
     corners = sorted(iterproduct((0, 1), repeat=dim))
     out: list[Polytope] = []

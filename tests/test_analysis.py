@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from polyclass import (
     CHECK_NAMES,
@@ -32,6 +33,10 @@ from polyclass import (
 )
 from polyclass.analysis import CheckOutcome
 from support import SQUARE_PYRAMID, named_corpus, pyramid_invariance_bases
+from test_invariance import unimodular_images
+
+# Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
+BRUTEFORCE_POINT_CAP = 40
 
 
 class TestCompressed:
@@ -76,6 +81,47 @@ class TestNormality:
             if p.dim == 0 or len(p.lattice_points) > 12:
                 continue
             assert is_normal(p) == is_normal_bruteforce(p), name
+
+
+class TestPackedNormality:
+    """is_normal packs each point of h*P into one int; the oracle keeps tuples."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(unimodular_images())
+    def test_agrees_with_bruteforce_on_embedded_images_and_dilations(self, pair):
+        # Negative coordinates, lower-dimensional embeddings and shears.
+        for p in pair:
+            for c in (1, 2, 3):
+                q = dilate(p, c)
+                if len(q.lattice_points) <= BRUTEFORCE_POINT_CAP:
+                    assert is_normal(q) == is_normal_bruteforce(q), (p.vertices, c)
+
+    def test_bridged_triangles_in_negative_coordinates(self):
+        shift = (-3, -1, -4, -1, -5, -9, -2)
+        p = Polytope([tuple(x + t for x, t in zip(v, shift))
+                      for v in edge_polytope(two_triangles_bridge()).vertices])
+        assert min(map(min, p.vertices)) < 0
+        assert not is_normal(p)
+        assert not is_normal_bruteforce(p)
+
+    def test_field_width_at_a_power_of_two(self):
+        # Every coordinate has width 2, so (dim - 1) * width = 4 = 2^2 and
+        # the largest difference at height 2 needs the full three bits.
+        p = Polytope([(0, 0, 1), (0, 2, 0), (2, 0, 0), (2, 2, 2)])
+        assert p.dim == 3
+        assert {max(col) - min(col) for col in zip(*p.vertices)} == {2}
+        assert not is_normal(p)
+        assert not is_normal_bruteforce(p)
+
+    def test_one_bit_narrower_fields_would_hide_a_non_sum(self):
+        # Widths 3 need 3-bit fields: points of 2P differ by up to 6 in a
+        # coordinate.  In 2-bit fields, a difference of 4 in one coordinate
+        # and -1 in the next cancels, and a point of 2P that is no sum of
+        # two lattice points gets the key of one that is.
+        p = Polytope([(0, 0, 2), (2, 3, 0), (3, 1, 3), (3, 3, 0)])
+        assert len(p.lattice_points) == 5
+        assert not is_normal(p)
+        assert not is_normal_bruteforce(p)
 
 
 class TestUnitChains:

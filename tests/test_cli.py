@@ -249,6 +249,17 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--dim", "9", "--exhaustive")
         assert code == 1
 
+    def test_negative_sample_count_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--dim", "3", "--samples", "-2")
+        assert code == 1
+        assert out == ""
+        assert "sample count must be nonnegative" in err
+
+    def test_zero_samples_is_an_empty_family(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dim", "3", "--samples", "0")
+        assert code == 0
+        assert "verified 0 polytope(s)" in out
+
 
 class TestMain:
     def test_parser_is_built_once(self):

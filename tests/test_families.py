@@ -278,6 +278,11 @@ class TestRandomFamily:
             assert p.dim == 4
             assert p.is_01
 
+    def test_count_must_be_nonnegative(self):
+        assert random_01_polytopes(3, 0, seed=0) == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_01_polytopes(3, -2, seed=0)
+
 
 def test_corpus_members_are_distinct():
     items = named_corpus()

@@ -49,7 +49,9 @@ def assert_hull_matches_oracle(points) -> Polytope:
         [(on, vals) for on, vals, _ in ref]
     assert [vset for _, vset in facets] == [on for on, _, _ in ref]
     if p.dim == p.ambient_dim:
-        assert [f.int_form for f in p.facets] == [form for _, _, form in ref]
+        # FacetData.int_form is this form; p.facets would also evaluate it
+        # on every lattice point.
+        assert [form for form, _ in facets] == [form for _, _, form in ref]
     return p
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from polyclass import Polytope, all_01_polytopes, is_normal
+from polyclass import Polytope, all_01_polytopes, cube, is_normal
 from test_hull import NAMED, birkhoff
 from test_invariance import unimodular_images
 
@@ -65,3 +65,7 @@ class TestWalls:
         p = birkhoff(3)
         assert is_normal(p)
         assert len(p.lattice_points) == 6
+
+    def test_cube6_is_normal(self):
+        # Levels 2..5 of cube(6) hold 3^6 .. 6^6 points.
+        assert is_normal(cube(6))
