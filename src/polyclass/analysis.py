@@ -73,15 +73,15 @@ def is_normal(p: Polytope) -> bool:
     = key(s + g) exactly: a carry or borrow between fields is plain int
     arithmetic and loses nothing, and no shift by the m_i is needed.  A
     point of h*P is thus a sum exactly when its key is in the level set;
-    only the points that miss are tested against the lattice.  The level
-    set holds keys of points of h*P only, so when it is as large as h*P
-    every point is a sum and no key needs computing.
+    only the points that miss are tested against the lattice, whose basis
+    is built on the first such test.  The level set holds keys of points
+    of h*P only, so when it is as large as h*P every point is a sum and
+    no key needs computing.
     """
     d = p.dim
     if d <= 2:
         return True
     gens = p.lattice_points
-    lat = p.lattice_height_basis
     weights = []
     shift = 0
     for col in zip(*p.vertices):
@@ -95,23 +95,21 @@ def is_normal(p: Polytope) -> bool:
         if len(level) < len(pts):
             for z in pts:
                 if (sum(map(mul, z, weights)) not in level
-                        and in_row_lattice(lat, z + (h,))):
+                        and in_row_lattice(p.lattice_height_basis, z + (h,))):
                     return False
         prev = level
     return True
 
 
-def is_normal_bruteforce(p: Polytope, max_height: int | None = None) -> bool:
+def is_normal_bruteforce(p: Polytope) -> bool:
     """Independent normality oracle: per-point decomposability search.
 
-    For each height h up to dim (not dim - 1: the extra degree also
-    exercises the height bound the fast path relies on), every point of
-    h*P in the lattice at height h must split off some generator with
+    For each height h = 2 .. max(2, dim) (not dim - 1: the extra degree
+    also exercises the height bound the fast path relies on), every point
+    of h*P in the lattice at height h must split off some generator with
     the remainder decomposable at height h - 1.  Top-down with
     memoization; intentionally a different algorithm from ``is_normal``.
     """
-    d = p.dim
-    top = max_height if max_height is not None else max(2, d)
     gens = p.lattice_points
     gen_set = set(gens)
     lat = p.lattice_height_basis
@@ -144,7 +142,7 @@ def is_normal_bruteforce(p: Polytope, max_height: int | None = None) -> bool:
         memo[key] = res
         return res
 
-    for h in range(2, top + 1):
+    for h in range(2, max(2, p.dim) + 1):
         for z in p._scaled_lattice_points(h):
             if in_row_lattice(lat, z + (h,)) and not decomposable(z, h):
                 return False

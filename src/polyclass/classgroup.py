@@ -98,16 +98,15 @@ class ClassGroupPresentation:
         return " x ".join(parts) if parts else "0"
 
 
-def class_group(p: Polytope, *, formal: bool | None = None) -> ClassGroupPresentation:
+def class_group(p: Polytope, *, formal: bool = False) -> ClassGroupPresentation:
     """Divisor class group presentation of the toric ring of ``p``.
 
     The rank of the class matrix must equal dim + 1; anything else
     contradicts the underlying theory and raises InvariantViolation
     rather than returning silently wrong group data.
 
-    ``formal`` marks the presentation as formal-only; when left as None
-    the caller is expected to have checked normality separately (the
-    analysis layer does) and the flag is set to False.
+    ``formal`` marks the presentation as formal-only; the caller decides
+    it from its own normality check (the analysis layer does).
     """
     cm = class_matrix(p)
     res = snf(cm.matrix)
@@ -119,7 +118,7 @@ def class_group(p: Polytope, *, formal: bool | None = None) -> ClassGroupPresent
     return ClassGroupPresentation(
         free_rank=cm.matrix.rows - res.rank,
         full_factors=res.invariant_factors,
-        formal=bool(formal),
+        formal=formal,
     )
 
 

@@ -7,9 +7,11 @@ sampled families and reports a pass-fail table.
 
 Exit codes: 0 success, 1 input or parse error (malformed JSON, floats
 where integers are required, points that are not vertices), 2 internal
-invariant violation.  Validation errors count as bad input only where the
-input becomes polytopes (``analyze``'s ``Polytope``, all of ``make``, the
-``verify`` family); any other exception propagates with its traceback.
+invariant violation or a failed ``verify`` check (either way a computed
+result contradicts the theory).  Validation errors count as bad input
+only where the input becomes polytopes (``analyze``'s ``Polytope``, all
+of ``make``, the ``verify`` family); any other exception propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"counterexample for {o.name} ({label}): "
                   f"vertices {[list(v) for v in o.first_counterexample.vertices]}")
     print("result:", "OK" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    return 0 if report.ok else 2
 
 
 @cache

@@ -6,8 +6,9 @@ fraction-free.  The module provides the normal forms the rest of the
 package is built on:
 
 * ``snf`` -- Smith normal form invariant factors and rank,
-* ``gcd_minors`` -- gcd of all i-by-i minors, the classical oracle for
-  the invariant factors (s_i = g_i / g_{i-1}),
+* ``gcd_minors`` -- gcd of all i-by-i minors, each a Bareiss
+  determinant, the classical oracle for the invariant factors
+  (s_i = g_i / g_{i-1}), independent of ``snf``,
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
   by the rows, plus a membership test,
 * ``int_kernel_basis`` -- a primitive integer basis of the right null space.
@@ -160,30 +161,12 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(rank=len(factors), invariant_factors=tuple(factors))
 
 
-def det_laplace(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant by cofactor expansion.  Exponential; fine for n <= 5."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    rest = rows[1:]
-    for j, v in enumerate(rows[0]):
-        if v:
-            minor = [r[:j] + r[j + 1:] for r in rest]
-            term = v * det_laplace(minor)
-            total += term if j % 2 == 0 else -term
-    return total
-
-
 def gcd_minors(m: IntMatrix, i: int) -> int:
     """gcd of all i-by-i minors of ``m`` (0 if they all vanish; 1 for i=0).
 
-    For i <= 4 the minors are enumerated directly with cofactor
-    determinants, a code path fully independent of ``snf``; the running
+    For i <= 4 the minors are enumerated directly, each by Bareiss
+    elimination, a code path fully independent of ``snf``: a minor with
+    fewer than i pivots is 0, else its last pivot is +-det.  The running
     gcd stops early once it reaches 1.  For larger i the value is taken
     from the invariant-factor product g_i = s_1 * ... * s_i.
 
@@ -204,13 +187,13 @@ def gcd_minors(m: IntMatrix, i: int) -> int:
         for s in res.invariant_factors[:i]:
             g *= s
         return g
-    ents = [tuple(row) for row in m.entries]
     g = 0
     for rsel in combinations(range(m.rows), i):
-        picked = [ents[r] for r in rsel]
+        picked = [m.entries[r] for r in rsel]
         for csel in combinations(range(m.cols), i):
-            minor = [tuple(row[c] for c in csel) for row in picked]
-            g = gcd(g, det_laplace(minor))
+            ech, pivots = _echelon_int([[row[c] for c in csel] for row in picked], i)
+            if len(pivots) == i:
+                g = gcd(g, ech[-1][-1])
             if g == 1:
                 return 1
     return g

@@ -346,10 +346,11 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     facets are the extreme rays of the cone of forms y with
     <y, (x, 1)> >= 0 on every point x, found by Motzkin's double
     description (Fukuda & Prodon 1996): start from the simplicial cone of
-    the greedy affinely independent k+1 points, add one point at a time,
-    and join a ray on its positive side with one on its negative side
-    when the combinatorial test finds them adjacent.  Rays are primitive;
-    zero sets are bitmasks over point indices.
+    the first k+1 affinely independent points (the pivot columns of the
+    transposed rows (x, 1)), add one point at a time, and join a ray on
+    its positive side with one on its negative side when the
+    combinatorial test finds them adjacent.  Rays are primitive; zero
+    sets are bitmasks over point indices.
 
     Each facet's form is the one a scan over k-subsets of the points
     would find: for k = d the ray itself, the unique primitive form; else
@@ -367,7 +368,7 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     if k == 0:
         return aff, []
     rows = [tuple([v[c] for c in pivots] + [1]) for v in verts]
-    base = _greedy_independent(rows)
+    base = _echelon_int(list(zip(*rows)), len(rows))[1]
     rays = []
     for i in base:
         ray = int_kernel_basis([rows[b] for b in base if b != i], k + 1)[0]
@@ -415,19 +416,6 @@ def _prefix_terms(a: Sequence[int], j: int) -> tuple[tuple[int, int], ...]:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def _greedy_independent(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the rows independent of the rows kept before them."""
-    basis: list[tuple[int, tuple[int, ...], int]] = []
-    for i, v in enumerate(rows):
-        for c, b, _ in basis:
-            if v[c]:
-                v = [x * b[c] - v[c] * y for x, y in zip(v, b)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            basis.append((lead, _primitive(v), i))
-    return [i for _, _, i in basis]
 
 
 def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...], d: int) -> Form:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from polyclass import InvariantViolation, Polytope, cube, fixture
-from polyclass import cli
+from polyclass import analysis, cli
 
 
 def run(capsys, *argv):
@@ -259,6 +259,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--dim", "3", "--samples", "0")
         assert code == 0
         assert "verified 0 polytope(s)" in out
+
+    def test_failed_check_exits_two(self, capsys, monkeypatch):
+        def one_failure(p):
+            return {name: name != analysis.CHECK_NAMES[0] for name in analysis.CHECK_NAMES}
+        monkeypatch.setattr(analysis, "polytope_checks", one_failure)
+        code, out, _ = run(capsys, "verify", "--fixtures")
+        assert code == 2
+        assert "result: FAIL" in out
+        assert f"counterexample for {analysis.CHECK_NAMES[0]}" in out
 
 
 class TestMain:

@@ -39,6 +39,18 @@ def int_matrices(draw, max_rows=6, max_cols=6, bound=9):
     return IntMatrix.from_rows(entries)
 
 
+@st.composite
+def low_rank_matrices(draw, max_rows=5, max_cols=5, bound=3):
+    """Products of r-by-k and k-by-c factors, k < min(r, c): minors above size k vanish."""
+    r = draw(st.integers(2, max_rows))
+    c = draw(st.integers(2, max_cols))
+    k = draw(st.integers(1, min(r, c) - 1))
+    left = [[draw(st.integers(-bound, bound)) for _ in range(k)] for _ in range(r)]
+    right = [[draw(st.integers(-bound, bound)) for _ in range(c)] for _ in range(k)]
+    return IntMatrix.from_rows(
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+
+
 def test_module_doctests_pass():
     failures, _ = doctest.testmod(intlinalg)
     assert failures == 0
@@ -148,7 +160,7 @@ class TestGcdMinors:
         assert gcd_minors(m, 2) == 0
 
     @settings(deadline=None, max_examples=60)
-    @given(int_matrices(max_rows=5, max_cols=5), st.integers(0, 4))
+    @given(int_matrices(max_rows=5, max_cols=5) | low_rank_matrices(), st.integers(0, 4))
     def test_small_sizes_match_permutation_expansion(self, m, size):
         size = min(size, m.rows, m.cols)
         assert gcd_minors(m, size) == oracles.minor_gcd(m, size)
