@@ -6,12 +6,13 @@
 sampled families and reports a pass-fail table.
 
 Exit codes: 0 success, 1 input or parse error (malformed JSON, floats
-where integers are required, points that are not vertices), 2 internal
-invariant violation or a failed ``verify`` check (either way a computed
-result contradicts the theory).  Validation errors count as bad input
-only where the input becomes polytopes (``analyze``'s ``Polytope``, all
-of ``make``, the ``verify`` family); any other exception propagates with
-its traceback.
+where integers are required, points that are not vertices, an input or
+``make -o`` file that cannot be opened: ``error: <path>: <reason>``),
+2 internal invariant violation or a failed ``verify`` check (either way
+a computed result contradicts the theory).  Validation errors count as
+bad input only where the input becomes polytopes (``analyze``'s
+``Polytope``, all of ``make``, the ``verify`` family); any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -83,26 +84,34 @@ def load_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
 
 def write_polytope_file(path: str, name: str, p: Polytope) -> None:
     doc = {"name": name, "vertices": [list(v) for v in p.vertices]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise FileFormatError(f"{path}: {e.strerror or e}") from None
 
 
-def load_graph_file(path: str) -> families.Graph:
-    """Read {"n": int, "edges": [[a, b], ...]}."""
+def _load_pairs(path: str, key: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read {"n": int, <key>: [[int, int], ...]}; ``noun`` names one pair in errors."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     n = _require_int(data.get("n"), f"{path}: \"n\"")
-    edges = data.get("edges")
-    if not isinstance(edges, list):
-        raise FileFormatError(f"{path}: \"edges\" must be an array")
+    items = data.get(key)
+    if not isinstance(items, list):
+        raise FileFormatError(f"{path}: \"{key}\" must be an array")
     pairs = []
-    for i, e in enumerate(edges):
+    for i, e in enumerate(items):
         if not isinstance(e, list) or len(e) != 2:
-            raise FileFormatError(f"{path}: edge {i} must be a pair")
-        pairs.append((_require_int(e[0], f"{path}: edge {i}"),
-                      _require_int(e[1], f"{path}: edge {i}")))
+            raise FileFormatError(f"{path}: {noun} {i} must be a pair")
+        pairs.append(tuple(_require_int(v, f"{path}: {noun} {i}") for v in e))
+    return n, pairs
+
+
+def load_graph_file(path: str) -> families.Graph:
+    """Read {"n": int, "edges": [[a, b], ...]}."""
+    n, pairs = _load_pairs(path, "edges", "edge")
     try:
         return families.Graph(n, pairs)
     except ValueError as e:
@@ -115,19 +124,7 @@ def load_poset_file(path: str) -> tuple[families.Poset, bool]:
     Returns the poset and whether the input was already transitively
     closed (the closure is always taken).
     """
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    n = _require_int(data.get("n"), f"{path}: \"n\"")
-    rels = data.get("relations")
-    if not isinstance(rels, list):
-        raise FileFormatError(f"{path}: \"relations\" must be an array")
-    pairs = []
-    for i, r in enumerate(rels):
-        if not isinstance(r, list) or len(r) != 2:
-            raise FileFormatError(f"{path}: relation {i} must be a pair")
-        pairs.append((_require_int(r[0], f"{path}: relation {i}"),
-                      _require_int(r[1], f"{path}: relation {i}")))
+    n, pairs = _load_pairs(path, "relations", "relation")
     try:
         poset = families.Poset.from_relations(n, pairs)
     except ValueError as e:

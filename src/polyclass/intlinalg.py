@@ -5,10 +5,11 @@ is no floating point, no overflow and no ``Fraction``: eliminations are
 fraction-free.  The module provides the normal forms the rest of the
 package is built on:
 
-* ``snf`` -- Smith normal form invariant factors and rank,
+* ``snf`` -- Smith normal form invariant factors and rank, by
+  diagonalization and a gcd/lcm pass over the diagonal,
 * ``gcd_minors`` -- gcd of all i-by-i minors, each a Bareiss
-  determinant, the classical oracle for the invariant factors
-  (s_i = g_i / g_{i-1}), independent of ``snf``,
+  determinant at every size, the classical oracle for the invariant
+  factors (s_i = g_i / g_{i-1}), independent of ``snf``,
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
   by the rows, plus a membership test,
 * ``int_kernel_basis`` -- a primitive integer basis of the right null space.
@@ -91,10 +92,11 @@ def snf(m: IntMatrix) -> SnfResult:
 
     Row/column elimination with the pivot chosen as the entry of minimal
     nonzero absolute value in the trailing submatrix (ties broken by
-    smallest (row, col) position, so the run is deterministic).  After a
-    corner is cleared, divisibility of the remaining submatrix by the
-    pivot is enforced the usual way: fold an offending row into the
-    pivot row and re-eliminate, which strictly shrinks the pivot.
+    smallest (row, col) position, so the run is deterministic) diagonalizes
+    it.  The diagonal need not be a divisibility chain yet; since
+    Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), replacing each pair by its gcd
+    and lcm makes it one without changing the group (Newman, *Integral
+    Matrices*, 1972).
 
     >>> snf(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]])).invariant_factors
     (1, 2)
@@ -144,31 +146,23 @@ def snf(m: IntMatrix) -> SnfResult:
                     dirty = True
         if dirty:
             continue
-        # Corner is clear; make the pivot divide everything that remains.
-        offender = None
-        for i in range(r + 1, nr):
-            for j in range(r + 1, nc):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[r] = [x + y for x, y in zip(a[r], a[offender])]
-            continue
         factors.append(p)
         r += 1
+    # After pass i, factors[i] divides every later factor.
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
     return SnfResult(rank=len(factors), invariant_factors=tuple(factors))
 
 
 def gcd_minors(m: IntMatrix, i: int) -> int:
     """gcd of all i-by-i minors of ``m`` (0 if they all vanish; 1 for i=0).
 
-    For i <= 4 the minors are enumerated directly, each by Bareiss
-    elimination, a code path fully independent of ``snf``: a minor with
-    fewer than i pivots is 0, else its last pivot is +-det.  The running
-    gcd stops early once it reaches 1.  For larger i the value is taken
-    from the invariant-factor product g_i = s_1 * ... * s_i.
+    The minors are enumerated at every size, each by Bareiss elimination,
+    so the value never comes from ``snf``: a minor with fewer than i
+    pivots is 0, else its last pivot is +-det.  The running gcd stops
+    early once it reaches 1.
 
     >>> gcd_minors(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]]), 2)
     2
@@ -179,14 +173,6 @@ def gcd_minors(m: IntMatrix, i: int) -> int:
         raise ValueError(f"minor size {i} out of range for {m.rows}x{m.cols} matrix")
     if i == 0:
         return 1
-    if i > 4:
-        res = snf(m)
-        if i > res.rank:
-            return 0
-        g = 1
-        for s in res.invariant_factors[:i]:
-            g *= s
-        return g
     g = 0
     for rsel in combinations(range(m.rows), i):
         picked = [m.entries[r] for r in rsel]

@@ -73,7 +73,7 @@ class FacetData:
 
 
 def _validate_vertices(points: Iterable[Sequence[int]],
-                       ambient_dim: int | None) -> tuple[tuple[Point, ...], int]:
+                       ambient_dim: int | None) -> tuple[list[Point], int]:
     pts = []
     for p in points:
         tp = tuple(p)
@@ -87,9 +87,7 @@ def _validate_vertices(points: Iterable[Sequence[int]],
     for p in pts:
         if len(p) != d:
             raise ValueError("all vertices must have the same dimension")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate vertices")
-    return tuple(sorted(pts)), d
+    return pts, d
 
 
 class Polytope:
@@ -105,15 +103,17 @@ class Polytope:
 
     def __init__(self, vertices: Iterable[Sequence[int]], ambient_dim: int | None = None):
         verts, d = _validate_vertices(vertices, ambient_dim)
-        object.__setattr__(self, "vertices", verts)
+        if len(set(verts)) != len(verts):
+            raise ValueError("duplicate vertices")
+        object.__setattr__(self, "vertices", tuple(sorted(verts)))
         object.__setattr__(self, "ambient_dim", d)
         self._hull  # noqa: B018  -- forces the non-vertex check now
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[int]],
                     ambient_dim: int | None = None) -> "Polytope":
-        pts = [tuple(int(v) for v in p) for p in points]
-        uniq, d = _validate_vertices(set(pts), ambient_dim)
+        pts, d = _validate_vertices(points, ambient_dim)
+        uniq = tuple(sorted(set(pts)))
         _, cands = _hull_candidates(uniq, d)
         keep = [p for p, vertex in zip(uniq, _vertex_flags(len(uniq), cands)) if vertex]
         return cls(keep, d)
@@ -170,14 +170,13 @@ class Polytope:
     def _slices(self) -> tuple[tuple, ...]:
         """Per coordinate j, how conv(vertices projected onto x_1..x_j) bounds x_j.
 
-        Entry j is (pin, lows, highs).  ``pin`` is an affine hull equation
-        of the projection with a nonzero x_j coefficient, or None; ``lows``
-        and ``highs`` are its facet forms with a positive and a negative
-        x_j coefficient (empty when pinned).  Each is stored as
-        (terms, b, a): the nonzero (index, coefficient) pairs on
-        x_1..x_{j-1}, the constant, and the x_j coefficient, negated for
-        ``highs`` so that it is positive.  The last coordinate reuses the
-        polytope's own hull.
+        Entry j is (lows, highs): the facet forms of the projection with a
+        positive and a negative x_j coefficient or, when an affine hull
+        equation of it has x_j in it, that equation and its negation
+        alone.  Each is stored as (terms, b, a): the nonzero (index,
+        coefficient) pairs on x_1..x_{j-1}, the constant, and the x_j
+        coefficient, negated for ``highs`` so that it is positive.  The
+        last coordinate reuses the polytope's own hull.
         """
         n = self.ambient_dim
         out = []
@@ -187,15 +186,16 @@ class Polytope:
             else:
                 proj = sorted({v[:j + 1] for v in self.vertices})
                 aff, facets = _hull_candidates(proj, j + 1)
-            pin = next(((_prefix_terms(a, j), b, a[j]) for a, b in aff if a[j]), None)
+            eq = next(((a, b) for a, b in aff if a[j]), None)
+            forms = ([form for form, _ in facets] if eq is None
+                     else [eq, (tuple([-c for c in eq[0]]), -eq[1])])
             lows, highs = [], []
-            if pin is None:
-                for (a, b), _ in facets:
-                    if a[j] > 0:
-                        lows.append((_prefix_terms(a, j), b, a[j]))
-                    elif a[j] < 0:
-                        highs.append((_prefix_terms(a, j), b, -a[j]))
-            out.append((pin, tuple(lows), tuple(highs)))
+            for a, b in forms:
+                if a[j] > 0:
+                    lows.append((_prefix_terms(a, j), b, a[j]))
+                elif a[j] < 0:
+                    highs.append((_prefix_terms(a, j), b, -a[j]))
+            out.append((tuple(lows), tuple(highs)))
         return tuple(out)
 
     def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
@@ -207,10 +207,10 @@ class Polytope:
         x_1..x_{j-1} is a point of h*P_{j-1}, the x_j over it in h*P_j
         form a nonempty interval, cut out by the forms of P_j with x_j in
         them alone: every other form is valid on P_{j-1} and holds
-        already.  An affine hull equation with x_j in it pins x_j to one
-        value, kept if integral; otherwise the facet forms give its
-        ceil/floor bounds.  So every integer x_j in range extends the
-        prefix to a point of h*P_j, and at j = n to a point of h*P: no
+        already.  Its ends are the ceil of the lows and the floor of the
+        highs; an affine hull equation is one of each, so a non-integral
+        pinned value leaves lo > hi.  So every integer x_j in range extends
+        the prefix to a point of h*P_j, and at j = n to a point of h*P: no
         point is re-tested, and the only waste is prefixes whose integer
         interval is empty.
         """
@@ -224,30 +224,22 @@ class Polytope:
         top = [0] * n
         j = 0
         while True:
-            pin, lows, highs = slices[j]
-            if pin is not None:
-                terms, b, a = pin
+            lows, highs = slices[j]
+            lo = hi = None
+            for terms, b, a in lows:
                 s = h * b
                 for i, c in terms:
                     s += c * x[i]
-                lo, r = divmod(-s, a)
-                hi = lo if r == 0 else lo - 1
-            else:
-                lo = hi = None
-                for terms, b, a in lows:
-                    s = h * b
-                    for i, c in terms:
-                        s += c * x[i]
-                    v = -(s // a)
-                    if lo is None or v > lo:
-                        lo = v
-                for terms, b, a in highs:
-                    s = h * b
-                    for i, c in terms:
-                        s += c * x[i]
-                    v = s // a
-                    if hi is None or v < hi:
-                        hi = v
+                v = -(s // a)
+                if lo is None or v > lo:
+                    lo = v
+            for terms, b, a in highs:
+                s = h * b
+                for i, c in terms:
+                    s += c * x[i]
+                v = s // a
+                if hi is None or v < hi:
+                    hi = v
             if j == last:
                 prefix = tuple(x[:last])
                 for v in range(lo, hi + 1):
@@ -283,15 +275,9 @@ class Polytope:
         out = []
         for fid, (form, vset) in enumerate(raw):
             vals = [_eval_form(form, pt) for pt in pts]
-            g = 0
-            for v in vals:
-                g = gcd(g, v)
-                if g == 1:
-                    break
+            g = gcd(*vals)
             if g > 1:
                 vals = [v // g for v in vals]
-            else:
-                g = 1
             out.append(FacetData(
                 facet_id=fid,
                 vertex_set=vset,

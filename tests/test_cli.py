@@ -208,6 +208,12 @@ class TestMakeCommand:
                            "-o", str(tmp_path / "x.json"))
         assert code == 1
 
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "make", "simplex", "2", "-o", str(out_file))
+        assert code == 1
+        assert err == f"error: {out_file}: No such file or directory\n"
+
     def test_custom_name_is_stored(self, capsys, tmp_path):
         out_file = tmp_path / "c.json"
         code, _, _ = run(capsys, "make", "cube", "2", "--name", "flatland",

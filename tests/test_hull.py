@@ -66,6 +66,8 @@ NAMED = {
     "cross4-x2": Polytope([tuple(s * 2 * (i == j) for j in range(4))
                            for i in range(4) for s in (1, -1)]),
     "simplex3-x8": dilate(simplex(3), 8),
+    # Pins with coefficients 2 and 4: odd prefixes have no integer extension.
+    "segment-421": Polytope([(0, 0, 0), (4, 2, 1)]),
 }
 
 

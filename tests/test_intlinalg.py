@@ -160,7 +160,8 @@ class TestGcdMinors:
         assert gcd_minors(m, 2) == 0
 
     @settings(deadline=None, max_examples=60)
-    @given(int_matrices(max_rows=5, max_cols=5) | low_rank_matrices(), st.integers(0, 4))
+    @given(int_matrices(max_rows=6, max_cols=6) | low_rank_matrices(max_rows=6, max_cols=6),
+           st.integers(0, 6))
     def test_small_sizes_match_permutation_expansion(self, m, size):
         size = min(size, m.rows, m.cols)
         assert gcd_minors(m, size) == oracles.minor_gcd(m, size)

@@ -52,6 +52,12 @@ class TestConstruction:
         q = Polytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0)])
         assert q == Polytope([(0, 0), (2, 0), (0, 2)])
 
+    def test_from_points_rejects_non_integer_coordinates(self):
+        with pytest.raises(TypeError):
+            Polytope.from_points([(0.5, 0), (2, 0), (0, 2)])
+        with pytest.raises(TypeError):
+            Polytope.from_points([(True, 0), (2, 0), (0, 2)])
+
     def test_vertices_sorted_and_hashable(self):
         p = Polytope([(1, 0), (0, 1), (0, 0)])
         assert p.vertices == ((0, 0), (0, 1), (1, 0))
