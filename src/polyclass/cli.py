@@ -50,10 +50,15 @@ def _load_json(path: str) -> Any:
             text = fh.read()
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: {e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (RecursionError, ValueError) as e:
+        # Nesting past the recursion limit, or an int over the digit limit.
+        raise FileFormatError(f"{path}: {e}") from None
 
 
 def _require_int(value: Any, where: str) -> int:

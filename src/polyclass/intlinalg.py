@@ -177,7 +177,7 @@ def gcd_minors(m: IntMatrix, i: int) -> int:
     for rsel in combinations(range(m.rows), i):
         picked = [m.entries[r] for r in rsel]
         for csel in combinations(range(m.cols), i):
-            ech, pivots = _echelon_int([[row[c] for c in csel] for row in picked], i)
+            ech, pivots, _ = _echelon_int([[row[c] for c in csel] for row in picked], i)
             if len(pivots) == i:
                 g = gcd(g, ech[-1][-1])
             if g == 1:
@@ -188,10 +188,12 @@ def gcd_minors(m: IntMatrix, i: int) -> int:
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Returns ``(echelon_rows, pivot_cols)``; all arithmetic stays in int,
-    the interior divisions are exact.
+    Returns ``(echelon_rows, pivot_cols, pivot_rows)``, pivot_rows being
+    the (independent) input rows the pivots came from; all arithmetic
+    stays in int, the interior divisions are exact.
     """
     m = [list(r) for r in rows]
+    order = list(range(len(m)))
     pivot_cols: list[int] = []
     prev = 1
     r = 0
@@ -205,6 +207,7 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
             continue
         if sel != r:
             m[r], m[sel] = m[sel], m[r]
+            order[r], order[sel] = order[sel], order[r]
         piv = m[r][c]
         for i in range(r + 1, len(m)):
             mic = m[i][c]
@@ -218,7 +221,7 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
         r += 1
         if r == len(m):
             break
-    return m[:r], pivot_cols
+    return m[:r], pivot_cols, order[:r]
 
 
 def rank(m: IntMatrix) -> int:
@@ -227,7 +230,7 @@ def rank(m: IntMatrix) -> int:
     >>> rank(IntMatrix.from_rows([[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0]]))
     3
     """
-    _, pivots = _echelon_int(m.entries, m.cols)
+    _, pivots, _ = _echelon_int(m.entries, m.cols)
     return len(pivots)
 
 
@@ -255,7 +258,7 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     >>> int_kernel_basis([[1, 0], [0, 1]], 2)
     []
     """
-    ech, pivot_cols = _echelon_int(rows, ncols)
+    ech, pivot_cols, _ = _echelon_int(rows, ncols)
     pivset = set(pivot_cols)
     basis: list[tuple[int, ...]] = []
     for f in range(ncols):
@@ -280,6 +283,37 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
             vec = tuple([-v for v in vec])
         basis.append(vec)
     return basis
+
+
+def _adjugate_rays(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Ray i of an invertible square B: primitive, zero on its other rows, > 0 on row i.
+
+    A fraction-free Gauss-Jordan pass, swapping rows at a zero pivot,
+    turns [B | I] into [D*I | D*B^-1]; ray i is column i of D*B^-1 (a
+    signed adj(B)), made primitive with the sign of D.  Each column of B
+    is dropped once cleared, and a row with 0 in it is kept as it is
+    when the step would only scale it by piv/prev = 1.
+
+    >>> _adjugate_rays([[0, 1], [2, 1]])
+    [(-1, 2), (1, 0)]
+    """
+    n = len(b)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    prev = 1
+    for c in range(n):
+        sel = next(i for i in range(c, n) if m[i][0])
+        m[c], m[sel] = m[sel], m[c]
+        piv = m[c][0]
+        tail = m[c][1:]
+        for i, row in enumerate(m):
+            f = row[0]
+            if i == c or not f and piv == prev:
+                m[i] = row[1:]
+            else:
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    return [_primitive([sign * row[i] for row in m]) for i in range(n)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

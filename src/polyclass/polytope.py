@@ -13,6 +13,8 @@ the supporting form itself is only determined up to the affine hull.
 
 Facets come from an exact integer double description of the cone of
 valid forms, in coordinates where the points span their affine hull.
+One elimination finds those coordinates and a start simplex, and the
+adjugate of the simplex gives the start rays.
 Each facet's form is the one the lex-first scan over dim-sized point
 subsets would reach, so the forms do not depend on the method.  Vertices
 are read off the facet incidences.  The lattice points of P and of its
@@ -29,12 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation
 from .intlinalg import (
     IntMatrix,
+    _adjugate_rays,
     _echelon_int,
     _primitive,
     hnf_row_lattice,
@@ -96,10 +100,11 @@ class Polytope:
     The constructor is strict: every supplied point must be an actual
     vertex of the hull, checked at construction time.  Use
     :meth:`from_points` to build a polytope from an arbitrary generating
-    set with duplicates and interior points silently dropped.
+    set with duplicates and interior points silently dropped.  ``dim``
+    is ``ambient_dim`` minus the number of affine hull equations.
     """
 
-    __slots__ = ("vertices", "ambient_dim", "__dict__")
+    __slots__ = ("vertices", "ambient_dim", "dim", "__dict__")
 
     def __init__(self, vertices: Iterable[Sequence[int]], ambient_dim: int | None = None):
         verts, d = _validate_vertices(vertices, ambient_dim)
@@ -132,13 +137,6 @@ class Polytope:
     # -- basic geometry ------------------------------------------------
 
     @cached_property
-    def dim(self) -> int:
-        v0 = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        _, pivots = _echelon_int(diffs, self.ambient_dim)
-        return len(pivots)
-
-    @cached_property
     def is_01(self) -> bool:
         return all(v in (0, 1) for pt in self.vertices for v in pt)
 
@@ -154,6 +152,8 @@ class Polytope:
         for v, vertex in zip(self.vertices, _vertex_flags(len(self.vertices), cands)):
             if not vertex:
                 raise ValueError(f"point {v} is not a vertex of the hull")
+        # Set here: perfbench's tracer reads dim before this value is cached.
+        object.__setattr__(self, "dim", self.ambient_dim - len(aff))
         return tuple(aff), tuple(cands)
 
     @property
@@ -327,25 +327,25 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     tuple of indices of the points it vanishes on (non-vertex points
     included), in order of those tuples.
 
-    The points are projected onto the k pivot columns of their
-    differences, an affine isomorphism of aff(P) onto Q^k.  There the
-    facets are the extreme rays of the cone of forms y with
-    <y, (x, 1)> >= 0 on every point x, found by Motzkin's double
-    description (Fukuda & Prodon 1996): start from the simplicial cone of
-    the first k+1 affinely independent points (the pivot columns of the
-    transposed rows (x, 1)), add one point at a time, and join a ray on
-    its positive side with one on its negative side when the
-    combinatorial test finds them adjacent.  Rays are primitive; zero
-    sets are bitmasks over point indices.
+    One Bareiss elimination of the rows (1, x): projecting onto its pivot
+    columns after the first, k coordinates, maps aff(P) onto Q^k, and
+    the k+1 rows it pivots on are a start simplex.  In Q^k the facets
+    are the extreme rays of the cone of forms y with <y, (x, 1)> >= 0 on
+    every point x, found by Motzkin's double description (Fukuda &
+    Prodon 1996): start from the cone of the simplex, whose rays are the
+    adjugate's columns, add the other points one at a time, and join a
+    ray on its positive side with one on its negative side when the
+    combinatorial test finds them adjacent.  The extreme rays do not
+    depend on the start.  Rays are primitive; zero sets are bitmasks
+    over point indices.
 
     Each facet's form is the one a scan over k-subsets of the points
     would find: for k = d the ray itself, the unique primitive form; else
     the spanning form of the facet's points, which is the same for every
     spanning subset of them.
     """
-    v0 = verts[0]
-    diffs = [tuple([a - b for a, b in zip(v, v0)]) for v in verts[1:]]
-    _, pivots = _echelon_int(diffs, d)
+    _, cols, base = _echelon_int([(1,) + v for v in verts], d + 1)
+    pivots = [c - 1 for c in cols[1:]]
     k = len(pivots)
     aff = []
     if k < d:
@@ -354,15 +354,11 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     if k == 0:
         return aff, []
     rows = [tuple([v[c] for c in pivots] + [1]) for v in verts]
-    base = _echelon_int(list(zip(*rows)), len(rows))[1]
-    rays = []
-    for i in base:
-        ray = int_kernel_basis([rows[b] for b in base if b != i], k + 1)[0]
-        if _dot(ray, rows[i]) < 0:
-            ray = tuple([-c for c in ray])
-        rays.append((ray, sum(1 << b for b in base if b != i)))
+    simplex = sum(1 << b for b in base)
+    rays = [(ray, simplex ^ 1 << b) for ray, b in zip(
+        _adjugate_rays([rows[b] for b in base]), base)]
     for i, row in enumerate(rows):
-        if i in base:
+        if simplex >> i & 1:
             continue
         bit = 1 << i
         pos, neg, kept = [], [], []
@@ -401,7 +397,7 @@ def _prefix_terms(a: Sequence[int], j: int) -> tuple[tuple[int, int], ...]:
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...], d: int) -> Form:

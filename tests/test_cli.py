@@ -98,6 +98,19 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"vertices": [[0], [\xff]]}', "can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"vertices": [[0], [' + b"1" * 5000 + b']]}', "Exceeds the limit"),
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    def test_undecodable_file_exits_one(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert reason in err
+
     def test_non_vertex_point_exits_one(self, capsys, tmp_path):
         path = write_json(tmp_path / "fat.json", {"vertices": [[0], [1], [2]]})
         code, _, err = run(capsys, "analyze", str(path))

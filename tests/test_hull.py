@@ -16,6 +16,8 @@ from polyclass import (
     cube,
     dilate,
     edge_polytope,
+    intlinalg,
+    polytope,
     product,
     pyramid,
     simplex,
@@ -102,6 +104,16 @@ class TestHullOracle:
         p = assert_hull_matches_oracle(square + [(1, 0), (1, 1)])
         assert p == Polytope(square)
 
+    def test_start_simplex_of_non_vertices(self):
+        # The square [0,2]^2 with its edge midpoints and centre: the
+        # lex-first affinely independent points (0, 0), (0, 1), (1, 0) hold
+        # two midpoints, and the start simplex the hull pivots on holds one.
+        pts = [(x, y) for x in range(3) for y in range(3)]
+        corners = [(0, 0), (0, 2), (2, 0), (2, 2)]
+        _, _, base = intlinalg._echelon_int([(1,) + v for v in pts], 3)
+        assert any(pts[b] not in corners for b in base)
+        assert assert_hull_matches_oracle(pts) == Polytope(corners)
+
 
 @st.composite
 def embedded_generating_sets(draw):
@@ -132,7 +144,50 @@ class TestHullOracleProperties:
     @settings(deadline=None, max_examples=100)
     @given(embedded_generating_sets())
     def test_embedded_generating_sets(self, points):
-        assert_hull_matches_oracle(points)
+        p = assert_hull_matches_oracle(points)
+        d = len(points[0])
+        assert p.dim == len(oracles.pivot_columns([list(x) + [1] for x in points], d + 1)) - 1
+
+
+# A member of the analyze-wide benchmark pool (seed 0), one 0/1 vertex per string.
+WIDE_MEMBER = [tuple(map(int, s)) for s in (
+    "00011 00100 01000 01001 10001 10010 10011 10110 11000 11001 11011 11110").split()]
+
+
+class TestHullWork:
+    """Eliminations per hull, counted: the start rays need no kernel solve."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [lambda: cube(4), lambda: Polytope(WIDE_MEMBER)],
+                             ids=["cube4", "wide-member"])
+    def test_full_dimensional_hull_solves_no_kernel(self, monkeypatch, make):
+        calls = self.count_calls(monkeypatch, polytope, "int_kernel_basis")
+        p = make()
+        assert p.dim == p.ambient_dim
+        assert calls == []
+
+    def test_lower_dimensional_hull_solves_affine_hull_and_facet_forms(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, polytope, "int_kernel_basis")
+        p = birkhoff(3)
+        # One solve for the affine hull equations, one per facet form.
+        assert len(calls) == 1 + len(p._hull[1]) == 10
+
+    def test_dim_is_read_off_the_hull(self, monkeypatch):
+        p = birkhoff(3)
+        calls = [self.count_calls(monkeypatch, module, "_echelon_int")
+                 for module in (polytope, intlinalg)]
+        assert p.dim == 4
+        assert calls == [[], []]
 
 
 class TestHullWalls:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import doctest
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from polyclass import (
@@ -49,6 +50,22 @@ def low_rank_matrices(draw, max_rows=5, max_cols=5, bound=3):
     right = [[draw(st.integers(-bound, bound)) for _ in range(c)] for _ in range(k)]
     return IntMatrix.from_rows(
         [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+
+
+@st.composite
+def invertible_matrices(draw, max_n=7, bound=3):
+    """P*L*D*U: unit triangular L, U, nonzero diagonal D, row permutation P.
+
+    L*D*U has nonzero leading minors; P moves rows, so whenever a zero of L
+    in the first column lands on top, elimination must swap rows.
+    """
+    n = draw(st.integers(1, max_n))
+    entry = st.integers(-bound, bound)
+    low = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    diag = [draw(st.integers(1, bound)) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    up = [[draw(entry) if j > i else diag[i] * (i == j) for j in range(n)] for i in range(n)]
+    lu = [[sum(a * b for a, b in zip(row, col)) for col in zip(*up)] for row in low]
+    return [lu[i] for i in draw(st.permutations(range(n)))]
 
 
 def test_module_doctests_pass():
@@ -223,6 +240,23 @@ class TestKernels:
     def test_matches_rational_back_substitution(self, m):
         assert int_kernel_basis(m.entries, m.cols) == \
             oracles.kernel_basis_by_elimination([list(r) for r in m.entries], m.cols)
+
+
+class TestAdjugateRays:
+    @settings(deadline=None, max_examples=200)
+    @given(invertible_matrices())
+    @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    def test_rays_match_kernel_of_the_other_rows(self, b):
+        rays = intlinalg._adjugate_rays(b)
+        assert len(rays) == len(b)
+        for i, ray in enumerate(rays):
+            vals = [sum(a * x for a, x in zip(row, ray)) for row in b]
+            assert gcd(*ray) == 1
+            assert vals[i] > 0
+            assert all(v == 0 for j, v in enumerate(vals) if j != i)
+            (kernel,) = oracles.kernel_basis_by_elimination(b[:i] + b[i + 1:], len(b))
+            assert ray in (kernel, tuple(-x for x in kernel))
 
 
 class TestRowLattice:
