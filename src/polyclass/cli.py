@@ -5,9 +5,10 @@
 ``verify`` runs the implication battery over fixture / exhaustive /
 sampled families and reports a pass-fail table.
 
-Exit codes: 0 success, 1 input or parse error (malformed JSON, floats
-where integers are required, points that are not vertices, an input or
-``make -o`` file that cannot be opened: ``error: <path>: <reason>``),
+Exit codes: 0 success, 1 usage or input error (a bad command line,
+malformed JSON, floats where integers are required, points that are not
+vertices, an input or ``make -o`` file that cannot be opened:
+``error: <path>: <reason>``),
 2 internal invariant violation or a failed ``verify`` check (either way
 a computed result contradicts the theory).  Validation errors count as
 bad input only where the input becomes polytopes (``analyze``'s
@@ -261,9 +262,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, subparsers too: a bad command line is bad input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyclass",
         description="Divisor class groups and structural invariants of lattice polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)

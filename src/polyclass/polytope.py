@@ -21,15 +21,17 @@ are read off the facet incidences.  The lattice points of P and of its
 dilations h*P are enumerated by slicing, in lex order: each coordinate
 ranges over the integers the hull of the vertices projected onto the
 coordinates so far allows, so no point outside h*P is visited and none
-is re-tested against the facets.  All arithmetic is on ``int``; only
-:meth:`Polytope.contains` also takes ``Fraction`` coordinates.
+is re-tested against the facets.  A bounded memo keyed by the projected
+points lets the members of a family share those projections' hulls.  All
+arithmetic is on ``int``; only :meth:`Polytope.contains` also takes
+``Fraction`` coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 from types import MappingProxyType
@@ -170,32 +172,15 @@ class Polytope:
     def _slices(self) -> tuple[tuple, ...]:
         """Per coordinate j, how conv(vertices projected onto x_1..x_j) bounds x_j.
 
-        Entry j is (lows, highs): the facet forms of the projection with a
-        positive and a negative x_j coefficient or, when an affine hull
-        equation of it has x_j in it, that equation and its negation
-        alone.  Each is stored as (terms, b, a): the nonzero (index,
-        coefficient) pairs on x_1..x_{j-1}, the constant, and the x_j
-        coefficient, negated for ``highs`` so that it is positive.  The
-        last coordinate reuses the polytope's own hull.
+        Entry j is the :func:`_bounds` of that hull: the polytope's own
+        for the last coordinate, else from the bounded memo
+        :func:`_prefix_bounds`, which a family's members share.
         """
         n = self.ambient_dim
-        out = []
-        for j in range(n):
-            if j == n - 1:
-                aff, facets = self._hull
-            else:
-                proj = sorted({v[:j + 1] for v in self.vertices})
-                aff, facets = _hull_candidates(proj, j + 1)
-            eq = next(((a, b) for a, b in aff if a[j]), None)
-            forms = ([form for form, _ in facets] if eq is None
-                     else [eq, (tuple([-c for c in eq[0]]), -eq[1])])
-            lows, highs = [], []
-            for a, b in forms:
-                if a[j] > 0:
-                    lows.append((_prefix_terms(a, j), b, a[j]))
-                elif a[j] < 0:
-                    highs.append((_prefix_terms(a, j), b, -a[j]))
-            out.append((tuple(lows), tuple(highs)))
+        out = [_prefix_bounds(tuple(sorted({v[:j + 1] for v in self.vertices})))
+               for j in range(n - 1)]
+        if n:
+            out.append(_bounds(*self._hull, n - 1))
         return tuple(out)
 
     def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
@@ -288,7 +273,9 @@ class Polytope:
         return tuple(out)
 
     def contains(self, pt: Sequence[int | Fraction]) -> bool:
-        """Exact membership test for a rational point."""
+        """Exact membership test for a point with int or Fraction coordinates."""
+        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in pt):
+            raise TypeError(f"point coordinates must be int or Fraction, got {pt!r}")
         if len(pt) != self.ambient_dim:
             raise ValueError("point dimension mismatch")
         aff, facets = self._hull
@@ -391,9 +378,35 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     return aff, sorted(facets, key=lambda fc: fc[1])
 
 
-def _prefix_terms(a: Sequence[int], j: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (index, coefficient) pairs of ``a`` before index j."""
-    return tuple([(i, c) for i, c in enumerate(a[:j]) if c])
+def _bounds(aff, facets, j: int) -> tuple[tuple, tuple]:
+    """(lows, highs): the forms of the hull (aff, facets) in R^(j+1) with x_j in them.
+
+    These are the facet forms with a positive and a negative x_j coefficient
+    or, when an affine hull equation has x_j in it, it and its negation alone,
+    each as (terms, b, a): the nonzero (index, coefficient) pairs on
+    x_1..x_{j-1}, the constant, and the x_j coefficient, made positive.
+    """
+    eq = next(((a, b) for a, b in aff if a[j]), None)
+    forms = ([form for form, _ in facets] if eq is None
+             else [eq, (tuple([-c for c in eq[0]]), -eq[1])])
+    lows, highs = [], []
+    for a, b in forms:
+        if a[j]:
+            terms = tuple([(i, c) for i, c in enumerate(a[:j]) if c])
+            (lows if a[j] > 0 else highs).append((terms, b, abs(a[j])))
+    return tuple(lows), tuple(highs)
+
+
+# Holds all 3 + 15 + 255 nonempty 0/1 point sets in R^1..R^3, so a sweep of
+# (0,1)-polytopes in R^4 builds each prefix projection's hull once.
+PREFIX_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=PREFIX_MEMO_SIZE)
+def _prefix_bounds(proj: tuple[Point, ...]) -> tuple[tuple, tuple]:
+    """The :func:`_bounds` of conv(proj), for sorted distinct points ``proj``."""
+    j = len(proj[0]) - 1
+    return _bounds(*_hull_candidates(proj, j + 1), j)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +296,46 @@ class TestVerifyCommand:
 class TestMain:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dim", "abc"],
+        ["analyze"],
+        ["verify", "--samples", "3", "--exhaustive"],
+        ["frobnicate"],
+        [],
+    ], ids=["bad-int", "missing-file", "exclusive-options", "unknown-command", "no-command"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == ""
+        assert "usage: polyclass" in out.err and "error:" in out.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "usage: polyclass verify" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    """``python -m polyclass`` from a checkout, in a child process."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run([sys.executable, "-m", "polyclass", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_verify_runs(self):
+        proc = self.run_module("verify", "--dim", "2", "--exhaustive")
+        assert proc.returncode == 0, proc.stderr
+        assert "verified 5 polytope(s)" in proc.stdout
+        assert proc.stdout.rstrip().endswith("result: OK")
+
+    def test_usage_error_exits_one(self):
+        proc = self.run_module("verify", "--dim", "abc")
+        assert proc.returncode == 1
+        assert "invalid int value" in proc.stderr

@@ -197,6 +197,21 @@ class TestContains:
         assert cube(2).contains((Fraction(1, 2), Fraction(1, 2)))
         assert not cube(2).contains((Fraction(3, 2), Fraction(1, 2)))
 
+    def test_float_coordinates_are_refused(self):
+        # In float arithmetic this point passes every facet of 3*simplex(3);
+        # its exact value lies outside.
+        p = Polytope([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        pt = (2.291323856929842, 0.18076133337767622, 0.5279148096924818)
+        assert not p.contains(tuple(Fraction(x) for x in pt))
+        with pytest.raises(TypeError):
+            p.contains(pt)
+        with pytest.raises(TypeError):
+            p.contains((1.0, 0, 0))
+
+    def test_bool_coordinates_are_refused(self):
+        with pytest.raises(TypeError):
+            cube(2).contains((True, False))
+
 
 class TestSimplicity:
     def test_cube_is_simple(self):
