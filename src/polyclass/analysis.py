@@ -418,6 +418,7 @@ class CheckOutcome:
     failed: int
     skipped: int
     first_counterexample: Polytope | None
+    first_index: int | None = None  # position of first_counterexample in the family
 
 
 @dataclass(frozen=True)
@@ -437,33 +438,37 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None,
                   progress: Callable[[int], None] | None = None) -> VerificationReport:
     """Run ``polytope_checks`` over a family and aggregate the outcomes.
 
-    ``workers`` > 1 fans out over a thread pool (the work is pure and
-    per-polytope; aggregation happens in input order either way, so the
-    report is deterministic).  ``progress`` is called with the running
-    count of finished polytopes, in input order, in both cases.
+    Serially each polytope is checked and tallied before the next is
+    drawn, keeping only each check's first counterexample and its index.
+    ``workers`` > 1 fans out over a thread pool, which holds the family
+    (aggregation is in input order either way, so the report is
+    deterministic).  ``progress`` is called with the running count of
+    finished polytopes, in input order, in both cases.
     """
-    items = list(polytopes)
-    results: list[dict[str, Verdict]] = []
+    counts = {name: [0, 0, 0] for name in CHECK_NAMES}
+    first: dict[str, tuple[Polytope, int]] = {}
+    total = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext()
     with pool as ex:
-        for res in (ex.map if ex else map)(polytope_checks, items):
-            results.append(res)
+        if ex:
+            items = list(polytopes)
+            checked = zip(items, ex.map(polytope_checks, items))
+        else:
+            checked = ((p, polytope_checks(p)) for p in polytopes)
+        for p, res in checked:
+            for name in CHECK_NAMES:
+                v = res[name]
+                if v is None:
+                    counts[name][2] += 1
+                elif v:
+                    counts[name][0] += 1
+                else:
+                    counts[name][1] += 1
+                    first.setdefault(name, (p, total))
+            total += 1
             if progress:
-                progress(len(results))
-    counts = {name: [0, 0, 0] for name in CHECK_NAMES}
-    first: dict[str, Polytope] = {}
-    for p, res in zip(items, results):
-        for name in CHECK_NAMES:
-            v = res[name]
-            if v is None:
-                counts[name][2] += 1
-            elif v:
-                counts[name][0] += 1
-            else:
-                counts[name][1] += 1
-                first.setdefault(name, p)
+                progress(total)
     outcomes = tuple(
-        CheckOutcome(name, counts[name][0], counts[name][1], counts[name][2],
-                     first.get(name))
+        CheckOutcome(name, *counts[name], *first.get(name, (None, None)))
         for name in CHECK_NAMES)
-    return VerificationReport(total=len(items), outcomes=outcomes)
+    return VerificationReport(total=total, outcomes=outcomes)

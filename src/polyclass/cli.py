@@ -233,21 +233,30 @@ def _cmd_make(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    polys: list[tuple[str, Polytope]] = []
+def _family(args: argparse.Namespace, labels: list[str]) -> Iterator[Polytope]:
+    """Yield the family ``verify`` checks, appending each member's label to ``labels``."""
     explicit_family = args.exhaustive or args.samples is not None
     with _input_boundary():
         if args.fixtures or not explicit_family:
             for fname in families.fixture_names():
-                polys.append((f"fixture {fname}", families.fixture(fname)))
+                labels.append(f"fixture {fname}")
+                yield families.fixture(fname)
         if args.exhaustive:
             for i, p in enumerate(families.all_01_polytopes(args.dim)):
-                polys.append((f"exhaustive dim {args.dim} #{i}", p))
+                labels.append(f"exhaustive dim {args.dim} #{i}")
+                yield p
         if args.samples is not None:
             for i, p in enumerate(families.random_01_polytopes(args.dim, args.samples,
                                                                args.seed)):
-                polys.append((f"sample dim {args.dim} #{i} (seed {args.seed})", p))
-    report = verify_family(p for _, p in polys)
+                labels.append(f"sample dim {args.dim} #{i} (seed {args.seed})")
+                yield p
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    # The family is streamed; a counterexample's index names the first
+    # polytope equal to it, as equal polytopes get equal verdicts.
+    labels: list[str] = []
+    report = verify_family(_family(args, labels))
     width = max(len(n) for n in CHECK_NAMES) + 2
     print(f"verified {report.total} polytope(s)")
     print(f"{'check':<{width}}{'pass':>7}{'fail':>7}{'skip':>7}")
@@ -255,8 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{o.name:<{width}}{o.passed:>7}{o.failed:>7}{o.skipped:>7}")
     for o in report.outcomes:
         if o.failed and o.first_counterexample is not None:
-            label = next((lbl for lbl, p in polys if p == o.first_counterexample), "?")
-            print(f"counterexample for {o.name} ({label}): "
+            print(f"counterexample for {o.name} ({labels[o.first_index]}): "
                   f"vertices {[list(v) for v in o.first_counterexample.vertices]}")
     print("result:", "OK" if report.ok else "FAIL")
     return 0 if report.ok else 2
@@ -286,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("ctor", metavar="CTOR",
                     help="one of: simplex, cube, product, pyramid, dilate, "
                          "order, stableset, edge, fixture")
-    pm.add_argument("params", nargs="*", help="positional parameters (size or fixture name)")
+    pm.add_argument("params", nargs="*", default=[],
+                    help="positional parameters (size or fixture name)")
     pm.add_argument("--of", nargs="+", metavar="SPEC",
                     help="input polytopes: simplex:N, cube:N, fixture:NAME, or a JSON path")
     pm.add_argument("--lift", type=int, default=1, help="pyramid apex height (default 1)")

@@ -93,10 +93,11 @@ def snf(m: IntMatrix) -> SnfResult:
     Row/column elimination with the pivot chosen as the entry of minimal
     nonzero absolute value in the trailing submatrix (ties broken by
     smallest (row, col) position, so the run is deterministic) diagonalizes
-    it.  The diagonal need not be a divisibility chain yet; since
-    Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), replacing each pair by its gcd
-    and lcm makes it one without changing the group (Newman, *Integral
-    Matrices*, 1972).
+    it.  The row-major scan stops at the first entry of absolute value 1,
+    which is that pivot.  The diagonal need not be a divisibility chain
+    yet; since Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), replacing each pair
+    by its gcd and lcm makes it one without changing the group (Newman,
+    *Integral Matrices*, 1972).
 
     >>> snf(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]])).invariant_factors
     (1, 2)
@@ -117,6 +118,10 @@ def snf(m: IntMatrix) -> SnfResult:
                 v = a[i][j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+                    if best[0] == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best

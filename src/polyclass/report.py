@@ -5,13 +5,15 @@ matrix, class group, compressedness, normality, unit chain, pyramid
 peeling, Segre classification when applicable) and returns an
 :class:`AnalysisReport` that renders either as aligned text or as
 canonical JSON.  The JSON form is deterministic byte for byte: all
-orders are canonical and keys are sorted.
+orders are canonical and keys are sorted.  The bytes are exactly those of
+``json.dumps(indent=2, sort_keys=True)``, produced by a dedicated emitter.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .analysis import (
@@ -107,7 +109,7 @@ class AnalysisReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.to_dict(), "\n") + "\n"
 
     def render_text(self) -> str:
         p = self.polytope
@@ -150,6 +152,32 @@ class AnalysisReport:
         for w in self.warnings:
             lines.append(f"  warning: {w}")
         return "\n".join(lines) + "\n"
+
+
+def _dumps(o: Any, indent: str) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for the types a report holds.
+
+    ``indent`` is the newline and spaces before ``o``'s closing bracket.
+    Empty containers and scalars other than str and int render alike at
+    every indent, so ``json.dumps`` takes them (and raises ``TypeError``
+    on other containers).
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if type(o) is int:
+        return repr(o)
+    inner = indent + "  "
+    if isinstance(o, dict) and o:
+        body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                                   for k, v in sorted(o.items())])
+        return "{" + inner + body + indent + "}"
+    if isinstance(o, (list, tuple)) and o:
+        if set(map(type, o)) == {int}:
+            body = repr(list(o))[1:-1].replace(" ", inner)
+        else:
+            body = ("," + inner).join([_dumps(x, inner) for x in o])
+        return "[" + inner + body + indent + "]"
+    return json.dumps(o)
 
 
 def _yn(v: bool | None) -> str:

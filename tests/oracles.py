@@ -5,12 +5,13 @@ sums, rank and kernels by plain rational elimination, minor gcds by full
 enumeration, facets by trying every subset of dim-many points, vertices by
 the rank of the facets through them, lattice points by scanning the whole
 ambient bounding box, planar hulls by the monotone chain, planar lattice
-point counts by Pick's theorem.  None of it shares code with the polyclass
-internals.
+point counts by Pick's theorem, reports by the stdlib's JSON encoder.  None
+of it shares code with the polyclass internals.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -245,3 +246,8 @@ def lattice_point_count_pick(hull: list[tuple[int, int]]) -> int:
 def order_hull_2d(points: set[tuple[int, int]]) -> list[tuple[int, int]]:
     """Arrange a planar vertex set in counterclockwise hull order."""
     return convex_hull_2d(list(points))
+
+
+def json_report_by_stdlib(doc) -> str:
+    """The ``analyze --json`` bytes of a report dict, by the stdlib encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -31,6 +31,7 @@ from polyclass import (
     validate_unit_chain,
     verify_family,
 )
+from polyclass import analysis
 from polyclass.analysis import CheckOutcome
 from support import SQUARE_PYRAMID, named_corpus, pyramid_invariance_bases
 from test_invariance import unimodular_images
@@ -336,6 +337,29 @@ class TestVerifyFamily:
             verify_family([fixture("P1"), fixture("P2"), fixture("P3")],
                           workers=workers, progress=seen.append)
             assert seen == [1, 2, 3]
+
+    def test_serial_path_streams_the_family(self):
+        events = []
+
+        def family():
+            for i, name in enumerate(["P1", "P2", "P3"]):
+                events.append(("yield", i))
+                yield fixture(name)
+        verify_family(family(), progress=lambda n: events.append(("progress", n)))
+        assert events == [("yield", 0), ("progress", 1), ("yield", 1), ("progress", 2),
+                          ("yield", 2), ("progress", 3)]
+
+    def test_first_counterexample_keeps_its_index(self, monkeypatch):
+        first_check = CHECK_NAMES[0]
+
+        def fails_off_p1(p):
+            return {name: name != first_check or p == fixture("P1") for name in CHECK_NAMES}
+        monkeypatch.setattr(analysis, "polytope_checks", fails_off_p1)
+        report = verify_family(fixture(n) for n in ["P1", "P2", "P3"])
+        by_name = {o.name: o for o in report.outcomes}
+        assert (by_name[first_check].failed, by_name[first_check].first_index) == (2, 1)
+        assert by_name[first_check].first_counterexample == fixture("P2")
+        assert all(o.first_index is None for o in report.outcomes if o.name != first_check)
 
     def test_skip_accounting(self):
         report = verify_family([fixture("P1"), fixture("EX38")])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polyclass import InvariantViolation, Polytope, cube, fixture
+from polyclass import InvariantViolation, Polytope, cube, fixture, random_01_polytopes
 from polyclass import analysis, cli
 
 
@@ -89,6 +90,16 @@ class TestAnalyzeCommand:
         code2, out2, _ = run(capsys, "analyze", path, "--json")
         assert (code1, code2) == (0, 0)
         assert out1 == out2
+
+    def test_json_escapes_the_name_as_before(self, capsys, tmp_path):
+        path = write_json(tmp_path / "odd.json", {"name": 'say "hi"\nto \u00e9',
+                                                  "vertices": [[0, 0], [1, 4], [2, 5], [3, 1]]})
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0
+        assert '  "name": "say \\"hi\\"\\nto \\u00e9",\n' in out
+        # sha256 of the bytes written by the json.dumps renderer.
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "478e9cd80cd8df7312e7b8f2c2bd916fb363fb9f89bfbe330d334cf88e9b71d9")
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/nowhere.json")
@@ -208,6 +219,13 @@ class TestMakeCommand:
         assert code == 0
         assert err == ""
 
+    def test_no_arguments_names_only_the_required_ones(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["make"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required: CTOR, -o/--output\n" in err
+
     def test_unknown_constructor_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "make", "frobnicate", "-o", str(tmp_path / "x.json"))
         assert code == 1
@@ -291,6 +309,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "result: FAIL" in out
         assert f"counterexample for {analysis.CHECK_NAMES[0]}" in out
+
+    def test_counterexample_is_labelled_by_its_first_occurrence(self, capsys, monkeypatch):
+        samples = random_01_polytopes(2, 6, 0)
+        repeated = next(p for i, p in enumerate(samples) if p in samples[:i])
+        first = samples.index(repeated)
+        assert first == 1 and samples.count(repeated) == 3
+
+        def fails_on_repeated(p):
+            return {name: name != analysis.CHECK_NAMES[0] or p != repeated
+                    for name in analysis.CHECK_NAMES}
+        monkeypatch.setattr(analysis, "polytope_checks", fails_on_repeated)
+        code, out, _ = run(capsys, "verify", "--dim", "2", "--samples", "6", "--seed", "0")
+        assert code == 2
+        assert (f"counterexample for {analysis.CHECK_NAMES[0]} "
+                f"(sample dim 2 #{first} (seed 0)): vertices") in out
 
 
 class TestMain:

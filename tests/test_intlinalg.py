@@ -130,6 +130,12 @@ class TestSnf:
     def test_factors_match_minor_gcd_ratios(self, m):
         assert snf(m).invariant_factors == oracles.invariant_factors_by_minors(m)
 
+    @settings(deadline=None, max_examples=60)
+    @given(int_matrices(max_rows=5, max_cols=6, bound=2))
+    def test_small_entries_match_minor_gcd_ratios(self, m):
+        # Entries in -2..2 put a +-1 at varied positions, where the pivot scan stops.
+        assert snf(m).invariant_factors == oracles.invariant_factors_by_minors(m)
+
     @settings(deadline=None)
     @given(int_matrices(), st.randoms(use_true_random=False))
     def test_invariant_under_row_and_column_shuffles(self, m, rng):

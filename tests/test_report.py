@@ -2,9 +2,48 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
-from polyclass import Polytope, analyze, cube, dilate, edge_polytope, fixture, simplex, two_triangles_bridge
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from polyclass import (
+    Polytope,
+    all_01_polytopes,
+    analyze,
+    cube,
+    dilate,
+    edge_polytope,
+    fixture,
+    fixture_names,
+    simplex,
+    two_triangles_bridge,
+)
+from polyclass.report import _dumps
+
+
+def _benchmark_workloads():
+    """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Strings heavy in what JSON must escape: quotes, backslashes, control
+# characters, and non-ASCII text inside and outside the BMP.
+_text = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f/aé€\U0001f600') | st.characters())
+_ints = st.integers() | st.integers(-10**60, 10**60)
+_scalars = _ints | _text | st.booleans() | st.none()
+_json_trees = st.recursive(
+    _scalars | st.lists(_ints) | st.lists(_ints | st.booleans() | st.none()),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_text, children)),
+    max_leaves=20)
 
 
 class TestAnalyze:
@@ -95,3 +134,30 @@ class TestSerialization:
         # 45 lattice points is over the print limit
         big = analyze(dilate(simplex(2), 8)).render_text()
         assert "class matrix" not in big
+
+
+class TestJsonEmitter:
+    """``to_json`` writes the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(_json_trees)
+    def test_matches_the_stdlib_on_json_trees(self, doc):
+        assert _dumps(doc, "\n") + "\n" == oracles.json_report_by_stdlib(doc)
+
+    def test_other_containers_raise_type_error(self):
+        for doc in ({"a": {1, 2}}, [frozenset()], {"a": [1, b"x"]}):
+            with pytest.raises(TypeError):
+                oracles.json_report_by_stdlib(doc)
+            with pytest.raises(TypeError):
+                _dumps(doc, "\n")
+
+    def test_reports_match_the_stdlib(self):
+        workloads = _benchmark_workloads()
+        named = [(name, fixture(name)) for name in fixture_names()]
+        named += [(f"r3-{i}", p) for i, p in enumerate(all_01_polytopes(3))]
+        named += [(name, Polytope(v)) for name, v in workloads.deep_corpus().items()]
+        named += [(f"wide-0-{i}", Polytope(v)) for i, v in enumerate(workloads.wide_pool(0))]
+        assert len(named) == 4 + 151 + 11 + 63
+        for name, p in named:
+            rep = analyze(p, name=name)
+            assert rep.to_json() == oracles.json_report_by_stdlib(rep.to_dict()), name
