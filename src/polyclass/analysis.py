@@ -5,10 +5,15 @@ This module decides the properties the class-group machinery feeds on:
 * ``is_compressed`` -- every facet value is 0 or 1,
 * ``is_normal`` -- the semigroup generated by the lattice points at
   height 1 saturates inside its own lattice; checked degree by degree
-  up to dim - 1, which is sufficient because the Hilbert basis of the
-  cone over the polytope lives in heights below the dimension.  Each
-  level is a set of points packed into single ints, one bit field per
-  coordinate, so a level is built by int additions.
+  up to a height bound.  The Hilbert basis of the cone over the
+  polytope lives in heights below the dimension, and a lattice pyramid
+  or a coordinate product is normal iff its base or its factors are,
+  so the bound is dim - 1 less one per pyramid apex, or, when the
+  apex-free core splits into coordinate blocks, the largest such bound
+  of a block.  The test still runs on the polytope itself: a non-sum of
+  a face or a factor is one of the whole.  Each level is a set of
+  points packed into single ints, one bit field per coordinate, so a
+  level is built by int additions.
   ``is_normal_bruteforce`` re-decides the same question point by point
   up to height dim and serves as an independent oracle,
 * ``k_number`` -- the longest chain of distinct lattice points and
@@ -36,7 +41,7 @@ from typing import Callable, Iterable, Literal
 
 from .classgroup import class_group
 from .errors import InvariantViolation
-from .intlinalg import in_row_lattice
+from .intlinalg import _echelon_int, in_row_lattice
 from .polytope import Point, Polytope, _eval_form
 
 Verdict = bool | None
@@ -53,13 +58,114 @@ def is_compressed(p: Polytope) -> bool:
     return all(v in (0, 1) for f in p.facets for v in f.values.values())
 
 
+def _normal_height_bound(p: Polytope) -> int:
+    """A height ``top`` such that P is normal iff h*P passes the level test for h <= top.
+
+    Starts from dim - 1 and lowers it through lattice pyramids and
+    coordinate products; see :func:`is_normal` for the argument.  Builds
+    no polytope: everything is read off ``p._hull``, the facet values and
+    the lattice points.
+    """
+    d = p.dim
+    if d <= 2:
+        return d - 1
+    verts = p.vertices
+    aff, raw = p._hull
+    # Apexes: a facet missing one vertex is an apex facet when that vertex
+    # is the only lattice point off it.
+    apexes = set()
+    rest = len(verts) - 1
+    for fid, (_, on) in enumerate(raw):
+        if len(on) == rest:
+            if sum(1 for v in p.facets[fid].values.values() if v) == 1:
+                apexes.add(next(i for i in range(len(verts)) if i not in on))
+    top = d - 1 - len(apexes)
+    if top <= 1:
+        return top
+    # Coordinate blocks of the core: union-find over the form supports.
+    core = [v for i, v in enumerate(verts) if i not in apexes]
+    var = [j for j, col in enumerate(zip(*core)) if min(col) < max(col)]
+    root = {j: j for j in var}
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    blocks = len(var)
+    supports = []
+    for a in [a for a, _ in aff] + [a for (a, _), _ in raw]:
+        support = [j for j in var if a[j]]
+        supports.append(support)
+        for j in support[1:]:
+            r, s = find(support[0]), find(j)
+            if r != s:
+                root[s] = r
+                blocks -= 1
+                if blocks == 1:
+                    return top
+    apex_pts = {verts[i] for i in apexes}
+    tops = []
+    for b in {find(j) for j in var}:
+        block = [j for j in var if find(j) == b]
+        proj = {tuple([v[j] for j in block]) for v in core}
+        dim_b = len(_echelon_int([(1,) + q for q in proj], len(block) + 1)[1]) - 1
+        # The factor's apexes: lone projected core points off a facet of P
+        # whose support on the varying coordinates lies in the block.
+        lone = set()
+        for fid, support in enumerate(supports[len(aff):]):
+            if support and find(support[0]) == b:
+                off = {tuple([z[j] for j in block])
+                       for z, v in p.facets[fid].values.items() if v and z not in apex_pts}
+                if len(off) == 1:
+                    lone |= off
+        tops.append(dim_b - 1 - len(lone))
+    return max(tops)
+
+
 def is_normal(p: Polytope) -> bool:
     """Saturation of the lattice-point semigroup, degree by degree.
 
     Writing L for the lattice spanned by {(v,1) : v a lattice point},
     the polytope is normal when every point of h*P lying in L at height
     h is a sum of a height-(h-1) semigroup element and a generator.
-    Heights 2 .. dim-1 suffice; dimensions at most 2 are always normal.
+    The Hilbert basis of the cone over a lattice polytope of dimension
+    e lies at heights <= e - 1, so a non-normal P has a point that is no
+    such sum at some height <= dim - 1, and heights 2 .. top suffice for
+    any ``top`` at or above the height of such a witness.
+    :func:`_normal_height_bound` lowers ``top`` from dim - 1 (Bruns &
+    Gubeladze, *Polytopes, Rings, and K-Theory*, 2009):
+
+    * **Lattice pyramids.**  An apex is the only lattice point off a
+      facet F; then L is L_F plus Z(a, 1), a direct sum, and the cone
+      over P meets L in (C_F cap L_F) + N(a, 1), so P is normal iff F is.
+      Facets missing exactly one vertex are the candidates, confirmed by
+      their values; distinct apex facets have distinct apexes, and k of
+      them make P a k-fold pyramid over the face ``core`` spanned by the
+      other vertices, of dimension dim - k.  So top = dim - 1 - k, and
+      with dim - k <= 2 (a simplex without other lattice points has
+      k = dim + 1) there is nothing to walk.
+    * **Coordinate products.**  Join, by union-find, the coordinates
+      that vary on the core and appear together in the support of an
+      affine hull equation or facet form of P.  On the core the other
+      coordinates are constant, so each form is a function of one
+      block, and with more than one block the core is exactly the
+      product of its projections Q_B onto the blocks.  A product is
+      normal iff each factor is: at height h its lattice points and
+      its points in L are the products of the factors' ones, so a
+      factor's non-sum z at height h pairs with h times one lattice
+      point of the other factors to a non-sum of the core.  Each factor
+      is again reduced by its apexes: the lone projected core points
+      off a facet of P supported in its block.  So top is the largest
+      dim_B - 1 - k_B, dim_B the affine rank of the projected core
+      vertices and k_B the number of those apexes.
+
+    Checking P itself at heights <= top is exact: a point of a face
+    decomposes inside the face (the face's lattice lies in L), so the
+    witness of a non-normal core or factor is one of P.  The test is
+    only sufficient for products: forms of P may couple coordinates the
+    core's own facets do not.
 
     Each point z is held as one int, key(z) = sum_i z_i * 2^t_i, so the
     level sets {s + g} are sets of ints.  The offsets t_i give coordinate
@@ -78,9 +184,10 @@ def is_normal(p: Polytope) -> bool:
     of h*P only, so when it is as large as h*P every point is a sum and
     no key needs computing.
     """
-    d = p.dim
-    if d <= 2:
+    top = _normal_height_bound(p)
+    if top <= 1:
         return True
+    d = p.dim
     gens = p.lattice_points
     weights = []
     shift = 0
@@ -89,7 +196,7 @@ def is_normal(p: Polytope) -> bool:
         shift += ((d - 1) * (max(col) - min(col))).bit_length()
     gen_keys = [sum(map(mul, g, weights)) for g in gens]
     prev = set(gen_keys)
-    for h in range(2, d):
+    for h in range(2, top + 1):
         level = {s + g for s in prev for g in gen_keys}
         pts = p._scaled_lattice_points(h)
         if len(level) < len(pts):
@@ -277,7 +384,9 @@ def product_decompose_01(p: Polytope) -> list[Polytope]:
     the coordinates.  Factors are returned as polytopes in their own
     coordinates, ordered by their smallest original coordinate, and a
     non-decomposable input yields a singleton list.  Cost is 2^c scans
-    of the vertex set for c varying coordinates.
+    of the vertex set for c varying coordinates.  ``is_normal`` splits
+    coordinates by the supports of the facet forms instead, which is
+    cheaper but may miss a factorization; this one is exact.
     """
     if not p.is_01:
         raise ValueError("product decomposition requires a (0,1)-polytope")

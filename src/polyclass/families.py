@@ -265,10 +265,12 @@ def random_01_polytopes(dim: int, count: int, seed: int) -> list[Polytope]:
     Each draw keeps every cube corner independently with probability
     1/2 and is rejected unless the hull is full-dimensional.  Repeats
     across draws are possible; the sequence is deterministic in seed.
-    A negative count is refused with ``ValueError``.
+    A negative count is refused with ``ValueError``, and so is a
+    dimension outside 1..8: each draw hulls about half of the 2^dim cube
+    corners, which takes seconds per draw from R^9 on.
     """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    if not 1 <= dim <= 8:
+        raise ValueError("sampling supported for dimensions 1..8")
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
     rng = random.Random(seed)

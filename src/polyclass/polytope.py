@@ -119,11 +119,27 @@ class Polytope:
     @classmethod
     def from_points(cls, points: Iterable[Sequence[int]],
                     ambient_dim: int | None = None) -> "Polytope":
+        """The hull of ``points`` from one double description over all of them.
+
+        Each facet's ``on`` indices are renumbered to the kept vertices and
+        the facets re-sorted, which is the hull ``cls(vertices)`` computes:
+        the forms depend only on the points' affine spans.
+        """
         pts, d = _validate_vertices(points, ambient_dim)
         uniq = tuple(sorted(set(pts)))
-        _, cands = _hull_candidates(uniq, d)
-        keep = [p for p, vertex in zip(uniq, _vertex_flags(len(uniq), cands)) if vertex]
-        return cls(keep, d)
+        aff, cands = _hull_candidates(uniq, d)
+        index: dict[int, int] = {}
+        for i, vertex in enumerate(_vertex_flags(len(uniq), cands)):
+            if vertex:
+                index[i] = len(index)
+        facets = sorted(((form, tuple([index[i] for i in on if i in index]))
+                         for form, on in cands), key=lambda fc: fc[1])
+        self = cls.__new__(cls)
+        object.__setattr__(self, "vertices", tuple([uniq[i] for i in index]))
+        object.__setattr__(self, "ambient_dim", d)
+        object.__setattr__(self, "dim", d - len(aff))
+        self.__dict__["_hull"] = (tuple(aff), tuple(facets))
+        return self
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Polytope)

@@ -5,8 +5,10 @@ sums, rank and kernels by plain rational elimination, minor gcds by full
 enumeration, facets by trying every subset of dim-many points, vertices by
 the rank of the facets through them, lattice points by scanning the whole
 ambient bounding box, planar hulls by the monotone chain, planar lattice
-point counts by Pick's theorem, reports by the stdlib's JSON encoder.  None
-of it shares code with the polyclass internals.
+point counts by Pick's theorem, normality by the level test at every height
+below the dimension, reports by the stdlib's JSON encoder.  None of it
+shares code with the polyclass internals, except that the normality level
+test takes the points of h*P from the library's slicing walk.
 """
 
 from __future__ import annotations
@@ -193,6 +195,65 @@ def lattice_points_by_box_scan(p, h: int) -> tuple[tuple[int, ...], ...]:
         pt for pt in product(*ranges)
         if all(sum(c * x for c, x in zip(a, pt)) + b == 0 for a, b in eqs)
         and all(sum(c * x for c, x in zip(a, pt)) + b >= 0 for a, b in ineqs))
+
+
+def lattice_echelon_basis(vectors: list[tuple[int, ...]]) -> list[list[int]]:
+    """An echelon basis of the lattice the integer vectors span, by Euclid's algorithm.
+
+    Column by column, the rows with a nonzero entry there are reduced
+    against the one of least absolute entry until a single one is left.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    basis = []
+    for c in range(len(vectors[0]) if vectors else 0):
+        while True:
+            live = [r for r in rows if r[c]]
+            if len(live) <= 1:
+                break
+            piv = min(live, key=lambda r: abs(r[c]))
+            rows = [r if r is piv or not r[c]
+                    else [a - r[c] // piv[c] * b for a, b in zip(r, piv)] for r in rows]
+            rows = [r for r in rows if any(r)]
+        live = [r for r in rows if r[c]]
+        if live:
+            basis.append(live[0])
+            rows = [r for r in rows if r is not live[0]]
+    return basis
+
+
+def is_normal_by_levels(p) -> bool:
+    """Normality by the level test at every height 2 .. dim - 1, without reduction.
+
+    Level h is the set of sums of h lattice points, built from level h - 1;
+    P is normal when every point of h*P that lies in the lattice L spanned
+    by the (v, 1) is in level h.  Points are plain tuples and membership in
+    L is read off an echelon basis of L by back-substitution.  Heights
+    below the dimension suffice because the Hilbert basis of the cone
+    lives there; no pyramid or product is used.  The points of h*P come
+    from ``p._scaled_lattice_points``, which the tests check against
+    ``lattice_points_by_box_scan``: the box scan would cost the volume of
+    a box in up to dim - 1 times the range of every coordinate.
+    """
+    gens = p.lattice_points
+    rows = lattice_echelon_basis([g + (1,) for g in gens])
+
+    def in_lattice(v):
+        v = list(v)
+        for row in rows:
+            c = next(i for i, x in enumerate(row) if x)
+            q, r = divmod(v[c], row[c])
+            if r:
+                return False
+            v = [a - q * b for a, b in zip(v, row)]
+        return not any(v)
+
+    level = set(gens)
+    for h in range(2, p.dim):
+        level = {tuple(a + b for a, b in zip(s, g)) for s in level for g in gens}
+        for z in p._scaled_lattice_points(h):
+            if z not in level and in_lattice(z + (h,)):
+                return False
+    return True
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from polyclass import (
     CHECK_NAMES,
@@ -33,8 +35,9 @@ from polyclass import (
 )
 from polyclass import analysis
 from polyclass.analysis import CheckOutcome
+from oracles import is_normal_by_levels
 from support import SQUARE_PYRAMID, named_corpus, pyramid_invariance_bases
-from test_invariance import unimodular_images
+from test_invariance import unimodular_image, unimodular_images
 
 # Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
 BRUTEFORCE_POINT_CAP = 40
@@ -123,6 +126,90 @@ class TestPackedNormality:
         assert len(p.lattice_points) == 5
         assert not is_normal(p)
         assert not is_normal_bruteforce(p)
+
+
+@st.composite
+def pyramids_and_products(draw):
+    """Pyramids of lift 1 and 2 and products of two or three small polytopes, moved.
+
+    Factors are hulls of 2..5 points with coordinates 0..3 in R^1, R^2 or
+    R^3, so they may be segments in the plane or polygons in space; the
+    results have dimension at most 4.  A pyramid of lift 1 is a lattice
+    pyramid; one of lift 2 is not.  The result is embedded, sheared and
+    translated by ``unimodular_image``.
+    """
+    def factor(n: int) -> Polytope:
+        box = st.tuples(*[st.integers(0, 3)] * n)
+        return Polytope.from_points(draw(st.lists(box, min_size=2, max_size=5, unique=True)))
+
+    if draw(st.booleans()):
+        dims = draw(st.sampled_from(((1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2))))
+        p = factor(dims[0])
+        for n in dims[1:]:
+            p = product(p, factor(n))
+    else:
+        base = factor(draw(st.integers(1, 3)))
+        if base.ambient_dim < 3 and draw(st.booleans()):
+            base = product(base, factor(1))
+        p = pyramid(base, draw(st.sampled_from((1, 2))))
+    return unimodular_image(draw, p)
+
+
+class TestNormalHeightBound:
+    """is_normal walks h*P only up to the height bound of its pyramids and products."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(pyramids_and_products())
+    def test_agrees_with_the_full_level_test(self, p):
+        normal = is_normal(p)
+        assert normal == is_normal_by_levels(p), p.vertices
+        if len(p.lattice_points) <= BRUTEFORCE_POINT_CAP:
+            assert normal == is_normal_bruteforce(p), p.vertices
+
+    @staticmethod
+    def walked_heights(monkeypatch, p: Polytope) -> tuple[bool, list[int]]:
+        heights = []
+        real = Polytope._scaled_lattice_points
+
+        def counted(self, h):
+            if h >= 2:
+                heights.append(h)
+            return real(self, h)
+        monkeypatch.setattr(Polytope, "_scaled_lattice_points", counted)
+        return is_normal(p), heights
+
+    @pytest.mark.parametrize("make", [
+        lambda: cube(7),
+        lambda: Polytope([(1,) * i + (0,) * (12 - i) for i in range(13)]),
+        lambda: product(simplex(5), simplex(5)),
+        lambda: pyramid(product(simplex(1), simplex(10))),
+        lambda: dilate(cube(4), 2),
+    ], ids=["cube7", "staircase-r12", "d5xd5", "pyr-d1xd10", "box-0-2-r4"])
+    def test_pyramids_and_products_walk_no_dilation(self, monkeypatch, make):
+        assert self.walked_heights(monkeypatch, make()) == (True, [])
+
+    def test_birkhoff_b3_walks_heights_two_and_three(self, monkeypatch):
+        # Neither a pyramid nor a product: heights 2 .. dim - 1.
+        p = Polytope([tuple(int(s[i] == j) for i in range(3) for j in range(3))
+                      for s in permutations(range(3))])
+        assert self.walked_heights(monkeypatch, p) == (True, [2, 3])
+
+    @pytest.mark.parametrize("make", [
+        lambda t: product(t, simplex(1)),
+        lambda t: product(simplex(1), t),
+        lambda t: pyramid(t),
+    ], ids=["factor-first", "factor-second", "lattice-pyramid"])
+    def test_a_non_normal_factor_shows_below_the_bound(self, monkeypatch, make):
+        # This tetrahedron's non-sums lie at height 2; the polytopes built
+        # from it have dimension 4, so the unreduced test would walk to 3.
+        t = Polytope([(0, 0, 1), (0, 2, 0), (2, 0, 0), (2, 2, 2)])
+        p = make(t)
+        assert (p.dim, analysis._normal_height_bound(p)) == (4, 2)
+        assert self.walked_heights(monkeypatch, p) == (False, [2])
+
+    def test_bridged_triangles_stay_non_normal(self, monkeypatch):
+        normal, _ = self.walked_heights(monkeypatch, edge_polytope(two_triangles_bridge()))
+        assert normal is False
 
 
 class TestUnitChains:

@@ -290,6 +290,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--dim", "9", "--exhaustive")
         assert code == 1
 
+    def test_sampling_guard_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--dim", "12", "--samples", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: sampling supported for dimensions 1..8\n"
+
     def test_negative_sample_count_exits_one(self, capsys):
         code, out, err = run(capsys, "verify", "--dim", "3", "--samples", "-2")
         assert code == 1

@@ -148,6 +148,13 @@ class TestHullOracleProperties:
         d = len(points[0])
         assert p.dim == len(oracles.pivot_columns([list(x) + [1] for x in points], d + 1)) - 1
 
+    @settings(deadline=None, max_examples=100)
+    @given(embedded_generating_sets())
+    def test_from_points_builds_the_hull_of_its_vertices(self, points):
+        p = Polytope.from_points(points)
+        q = Polytope(p.vertices, p.ambient_dim)
+        assert (p._hull, p.vertices, p.dim) == (q._hull, q.vertices, q.dim)
+
 
 # A member of the analyze-wide benchmark pool (seed 0), one 0/1 vertex per string.
 WIDE_MEMBER = [tuple(map(int, s)) for s in (
@@ -181,6 +188,12 @@ class TestHullWork:
         p = birkhoff(3)
         # One solve for the affine hull equations, one per facet form.
         assert len(calls) == 1 + len(p._hull[1]) == 10
+
+    def test_from_points_runs_one_double_description(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, polytope, "_hull_candidates")
+        p = Polytope.from_points([(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
+        assert len(calls) == 1 and len(calls[0][0]) == 27
+        assert p == Polytope([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
 
     def test_dim_is_read_off_the_hull(self, monkeypatch):
         p = birkhoff(3)

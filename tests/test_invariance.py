@@ -21,12 +21,9 @@ from polyclass import (
 )
 
 
-@st.composite
-def unimodular_images(draw):
-    n = draw(st.integers(1, 3))
-    box = st.tuples(*[st.integers(0, 2)] * n)
-    pts = draw(st.lists(box, min_size=2, max_size=6, unique=True))
-    p = Polytope.from_points(pts)
+def unimodular_image(draw, p: Polytope) -> Polytope:
+    """``p`` embedded by x -> (x, Ax + c) (A has 0 or 1 rows), sheared and translated."""
+    n = p.ambient_dim
     m = draw(st.integers(0, 1))
     small = st.integers(-1, 1)
     rows = draw(st.lists(st.tuples(*[small] * n), min_size=m, max_size=m))
@@ -40,7 +37,16 @@ def unimodular_images(draw):
         for i, j, s in draw(st.lists(ops, max_size=2)):
             image = [v[:i] + (v[i] + s * v[j],) + v[i + 1:] for v in image]
     t = draw(st.tuples(*[st.integers(-2, 2)] * d))
-    return p, Polytope([tuple(x + y for x, y in zip(v, t)) for v in image])
+    return Polytope([tuple(x + y for x, y in zip(v, t)) for v in image])
+
+
+@st.composite
+def unimodular_images(draw):
+    n = draw(st.integers(1, 3))
+    box = st.tuples(*[st.integers(0, 2)] * n)
+    pts = draw(st.lists(box, min_size=2, max_size=6, unique=True))
+    p = Polytope.from_points(pts)
+    return p, unimodular_image(draw, p)
 
 
 def invariants(p: Polytope):
