@@ -76,9 +76,8 @@ def _normal_height_bound(p: Polytope) -> int:
     apexes = set()
     rest = len(verts) - 1
     for fid, (_, on) in enumerate(raw):
-        if len(on) == rest:
-            if sum(1 for v in p.facets[fid].values.values() if v) == 1:
-                apexes.add(next(i for i in range(len(verts)) if i not in on))
+        if len(on) == rest and sum(1 for v in p.facets[fid].values.values() if v) == 1:
+            apexes.add(next(i for i in range(len(verts)) if i not in on))
     top = d - 1 - len(apexes)
     if top <= 1:
         return top

@@ -207,10 +207,6 @@ class TestNormalHeightBound:
         assert (p.dim, analysis._normal_height_bound(p)) == (4, 2)
         assert self.walked_heights(monkeypatch, p) == (False, [2])
 
-    def test_bridged_triangles_stay_non_normal(self, monkeypatch):
-        normal, _ = self.walked_heights(monkeypatch, edge_polytope(two_triangles_bridge()))
-        assert normal is False
-
 
 class TestUnitChains:
     def test_hexagon_reaches_three(self):
