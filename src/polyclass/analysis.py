@@ -55,7 +55,7 @@ def is_compressed(p: Polytope) -> bool:
     """
     if p.dim < 1:
         raise ValueError("compressedness needs dimension >= 1")
-    return all(v in (0, 1) for f in p.facets for v in f.values.values())
+    return all(set(f.row) <= {0, 1} for f in p.facets)
 
 
 def _normal_height_bound(p: Polytope) -> int:
@@ -75,9 +75,9 @@ def _normal_height_bound(p: Polytope) -> int:
     # is the only lattice point off it.
     apexes = set()
     rest = len(verts) - 1
-    for fid, (_, on) in enumerate(raw):
-        if len(on) == rest and sum(1 for v in p.facets[fid].values.values() if v) == 1:
-            apexes.add(next(i for i in range(len(verts)) if i not in on))
+    for f in p.facets:
+        if len(f.vertex_set) == rest and len(f.row) - f.row.count(0) == 1:
+            apexes.add(next(i for i in range(len(verts)) if i not in f.vertex_set))
     top = d - 1 - len(apexes)
     if top <= 1:
         return top
@@ -105,6 +105,7 @@ def _normal_height_bound(p: Polytope) -> int:
                 if blocks == 1:
                     return top
     apex_pts = {verts[i] for i in apexes}
+    pts = p.lattice_points
     tops = []
     for b in {find(j) for j in var}:
         block = [j for j in var if find(j) == b]
@@ -116,7 +117,7 @@ def _normal_height_bound(p: Polytope) -> int:
         for fid, support in enumerate(supports[len(aff):]):
             if support and find(support[0]) == b:
                 off = {tuple([z[j] for j in block])
-                       for z, v in p.facets[fid].values.items() if v and z not in apex_pts}
+                       for z, v in zip(pts, p.facets[fid].row) if v and z not in apex_pts}
                 if len(off) == 1:
                     lone |= off
         tops.append(dim_b - 1 - len(lone))
@@ -274,8 +275,12 @@ def k_number(p: Polytope) -> UnitChain:
     Depth-first search over (point, facet) choices.  The set of points
     usable at a state depends only on the set of facets chosen so far
     (each used point is off its own facet, hence never reusable), so
-    states are memoized on the chosen facet set.  The chain length is
-    capped by dim + 1 and the search exits early on reaching the cap.
+    states are memoized on the chosen facet set.  Point sets and facet
+    sets are int bitmasks: bit i of a facet's unit (zero) mask is set
+    when lattice point i has value 1 (0) on it, and a state is the mask
+    of the chosen facet ids.  Points are tried in increasing index, that
+    is lex, order.  The chain length is capped by dim + 1 and the search
+    exits early on reaching the cap.
     """
     if p.dim < 1:
         raise ValueError("unit chains need dimension >= 1")
@@ -285,14 +290,13 @@ def k_number(p: Polytope) -> UnitChain:
     unit = []
     zero = []
     for f in facets:
-        unit.append(frozenset(i for i, pt in enumerate(pts) if f.values[pt] == 1))
-        zero.append(frozenset(i for i, pt in enumerate(pts) if f.values[pt] == 0))
+        unit.append(sum([1 << i for i, v in enumerate(f.row) if v == 1]))
+        zero.append(sum([1 << i for i, v in enumerate(f.row) if v == 0]))
     nf = len(facets)
     best: list[tuple[int, int]] = []
-    visited: set[frozenset[int]] = set()
+    visited: set[int] = set()
 
-    def dfs(avail: frozenset[int], used_fs: frozenset[int],
-            chain: list[tuple[int, int]]) -> bool:
+    def dfs(avail: int, used_fs: int, chain: list[tuple[int, int]]) -> bool:
         nonlocal best
         if len(chain) > len(best):
             best = list(chain)
@@ -303,21 +307,23 @@ def k_number(p: Polytope) -> UnitChain:
         visited.add(used_fs)
         cands = []
         for fid in range(nf):
-            if fid not in used_fs:
+            if not used_fs >> fid & 1:
                 ch = unit[fid] & avail
                 if ch:
                     cands.append((fid, ch))
         if len(chain) + len(cands) <= len(best):
             return False
         for fid, ch in cands:
-            for i in sorted(ch):
-                chain.append((i, fid))
-                if dfs(avail & zero[fid], used_fs | {fid}, chain):
+            while ch:
+                low = ch & -ch
+                ch ^= low
+                chain.append((low.bit_length() - 1, fid))
+                if dfs(avail & zero[fid], used_fs | 1 << fid, chain):
                     return True
                 chain.pop()
         return False
 
-    dfs(frozenset(range(len(pts))), frozenset(), [])
+    dfs((1 << len(pts)) - 1, 0, [])
     del dfs  # a recursive closure is a reference cycle: free its memo now, not at the next gc
     return UnitChain(
         k=len(best),
@@ -332,16 +338,16 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
         return False
     if len(set(chain.points)) != chain.k or len(set(chain.facet_ids)) != chain.k:
         return False
-    facets = {f.facet_id: f for f in p.facets} if p.dim >= 1 else {}
-    pts = set(p.lattice_points)
+    rows = {f.facet_id: f.row for f in p.facets} if p.dim >= 1 else {}
+    index = {pt: i for i, pt in enumerate(p.lattice_points)}
     for i in range(chain.k):
-        v = chain.points[i]
-        if v not in pts or chain.facet_ids[i] not in facets:
+        j = index.get(chain.points[i])
+        if j is None or chain.facet_ids[i] not in rows:
             return False
-        if facets[chain.facet_ids[i]].values[v] != 1:
+        if rows[chain.facet_ids[i]][j] != 1:
             return False
         for l in range(i):
-            if facets[chain.facet_ids[l]].values[v] != 0:
+            if rows[chain.facet_ids[l]][j] != 0:
                 return False
     return True
 
@@ -357,13 +363,7 @@ def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
     core = p
     apexes = 0
     while core.dim >= 1:
-        pts = core.lattice_points
-        base = None
-        for f in core.facets:
-            off = [pt for pt in pts if f.values[pt] != 0]
-            if len(off) == 1:
-                base = f
-                break
+        base = next((f for f in core.facets if len(f.row) - f.row.count(0) == 1), None)
         if base is None:
             break
         core = Polytope([core.vertices[i] for i in base.vertex_set], core.ambient_dim)

@@ -48,11 +48,8 @@ def class_matrix(p: Polytope) -> ClassMatrix:
     if p.dim < 1:
         raise ValueError("class matrix requires a polytope of dimension >= 1")
     pts = p.lattice_points
-    # A list first: tuple() of a generator resizes, and resized tuples of length
-    # 11-19 fill their free lists (2000 each) without being reused from them.
-    rows = [tuple([f.values[pt] for pt in pts]) for f in p.facets]
     return ClassMatrix(
-        matrix=IntMatrix.from_rows(rows, len(pts)),
+        matrix=IntMatrix.from_rows([f.row for f in p.facets], len(pts)),
         row_labels=tuple(f.facet_id for f in p.facets),
         col_labels=pts,
     )

@@ -259,28 +259,34 @@ def all_01_polytopes(dim: int) -> Iterator[Polytope]:
                 yield p
 
 
-def random_01_polytopes(dim: int, count: int, seed: int) -> list[Polytope]:
-    """Seeded sample of full-dimensional (0,1)-polytopes in R^dim.
+def random_01_polytopes(dim: int, count: int, seed: int) -> Iterator[Polytope]:
+    """Seeded sample of full-dimensional (0,1)-polytopes in R^dim, drawn lazily.
 
     Each draw keeps every cube corner independently with probability
     1/2 and is rejected unless the hull is full-dimensional.  Repeats
     across draws are possible; the sequence is deterministic in seed.
-    A negative count is refused with ``ValueError``, and so is a
-    dimension outside 1..8: each draw hulls about half of the 2^dim cube
-    corners, which takes seconds per draw from R^9 on.
+    A negative count is refused with ``ValueError`` at the call, and so
+    is a dimension outside 1..8: each draw hulls about half of the 2^dim
+    cube corners, which takes seconds per draw from R^9 on.  Members are
+    built as the returned iterator is consumed, so a streaming consumer
+    holds one at a time.
     """
     if not 1 <= dim <= 8:
         raise ValueError("sampling supported for dimensions 1..8")
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
+    return _random_01_draws(dim, count, seed)
+
+
+def _random_01_draws(dim: int, count: int, seed: int) -> Iterator[Polytope]:
     rng = random.Random(seed)
     corners = sorted(iterproduct((0, 1), repeat=dim))
-    out: list[Polytope] = []
-    while len(out) < count:
+    drawn = 0
+    while drawn < count:
         sub = [c for c in corners if rng.random() < 0.5]
         if len(sub) < dim + 1:
             continue
         p = Polytope(sub, dim)
         if p.dim == dim:
-            out.append(p)
-    return out
+            drawn += 1
+            yield p

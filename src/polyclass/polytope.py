@@ -10,6 +10,10 @@ for each facet the affine form is scaled so that its values on the
 lattice points of the polytope are nonnegative integers with gcd 1 and
 vanish exactly on the facet.  That value vector is canonical even though
 the supporting form itself is only determined up to the affine hull.
+Each facet keeps it as a row aligned with the lattice points, built in
+one pass over the point coordinates' columns; the facet-by-point matrix
+of these rows is what the class group, compressedness, unit chains and
+the pyramid tests all read.
 
 Facets come from an exact integer double description of the cone of
 valid forms, in coordinates where the points span their affine hull.
@@ -29,11 +33,12 @@ arithmetic is on ``int``; only :meth:`Polytope.contains` also takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -63,19 +68,27 @@ def _eval_form(form: Form, pt: Sequence[int | Fraction]) -> int | Fraction:
 
 @dataclass(frozen=True)
 class FacetData:
-    """One facet: primitive integer form plus its normalized value vector.
+    """One facet: primitive integer form plus its normalized value row.
 
     ``int_form`` is the primitive integer form of the supporting
     hyperplane, >= 0 on the parent polytope, and ``divisor`` the gcd of
-    its values on the lattice points: values[pt] = int_form(pt) / divisor.
+    its values on the lattice points.  ``row[i]`` is the normalized
+    value int_form(points[i]) / divisor at the i-th lattice point of the
+    parent, in its lex order.  ``values`` is the same data as a
+    read-only mapping point -> value, built on first access only.
     ``vertex_set`` holds indices into the parent's vertex tuple.
     """
 
     facet_id: int
     vertex_set: tuple[int, ...]
-    values: Mapping[Point, int]
+    row: tuple[int, ...]
     int_form: Form
     divisor: int
+    points: tuple[Point, ...] = field(repr=False)
+
+    @cached_property
+    def values(self) -> Mapping[Point, int]:
+        return MappingProxyType(dict(zip(self.points, self.row)))
 
 
 def _validate_vertices(points: Iterable[Sequence[int]],
@@ -262,29 +275,37 @@ class Polytope:
 
     @cached_property
     def facets(self) -> tuple[FacetData, ...]:
-        """Facets with normalized value vectors, in canonical order.
+        """Facets with normalized value rows, in canonical order.
 
-        Canonical order is by sorted vertex index tuple.  The value
-        vector of each facet is divided by its gcd over the lattice
-        points, which makes it independent of the choice of supporting
-        form modulo the affine hull.
+        Canonical order is by sorted vertex index tuple.  The value row
+        of each facet is divided by its gcd over the lattice points,
+        which makes it independent of the choice of supporting form
+        modulo the affine hull.  A row is the form's offset plus, for
+        each nonzero coefficient, that multiple of the points' coordinate
+        column.
         """
         if self.dim == 0:
             raise ValueError("a 0-dimensional polytope has no facets")
         _, raw = self._hull
         pts = self.lattice_points
+        cols = tuple(zip(*pts))
         out = []
         for fid, (form, vset) in enumerate(raw):
-            vals = [_eval_form(form, pt) for pt in pts]
-            g = gcd(*vals)
+            a, b = form
+            row = [b] * len(pts)
+            for c, col in zip(a, cols):
+                if c:
+                    row = list(map(add, row, map(mul, repeat(c), col)))
+            g = gcd(*row)
             if g > 1:
-                vals = [v // g for v in vals]
+                row = [v // g for v in row]
             out.append(FacetData(
                 facet_id=fid,
                 vertex_set=vset,
-                values=MappingProxyType(dict(zip(pts, vals))),
+                row=tuple(row),
                 int_form=form,
                 divisor=g,
+                points=pts,
             ))
         return tuple(out)
 

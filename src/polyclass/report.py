@@ -63,14 +63,13 @@ class AnalysisReport:
         }
         if self.trivial:
             return out
-        pts = p.lattice_points
         out["facets"] = [
             {
                 "id": f.facet_id,
                 "normal": list(f.int_form[0]),
                 "offset": f.int_form[1],
                 "divisor": f.divisor,
-                "values": [f.values[pt] for pt in pts],
+                "values": list(f.row),
                 "vertex_indices": list(f.vertex_set),
             }
             for f in p.facets

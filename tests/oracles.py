@@ -6,9 +6,11 @@ enumeration, facets by trying every subset of dim-many points, vertices by
 the rank of the facets through them, lattice points by scanning the whole
 ambient bounding box, planar hulls by the monotone chain, planar lattice
 point counts by Pick's theorem, normality by the level test at every height
-below the dimension, reports by the stdlib's JSON encoder.  None of it
-shares code with the polyclass internals, except that the normality level
-test takes the points of h*P from the library's slicing walk.
+below the dimension, facet values form by form and point by point, unit
+chains by a search over every ordered sequence, reports by the stdlib's
+JSON encoder.  None of it shares code with the polyclass internals, except
+that the normality level test takes the points of h*P from the library's
+slicing walk, and the facet values start from the library's facet forms.
 """
 
 from __future__ import annotations
@@ -254,6 +256,45 @@ def is_normal_by_levels(p) -> bool:
             if z not in level and in_lattice(z + (h,)):
                 return False
     return True
+
+
+def facet_rows_by_forms(p) -> list[tuple[int, ...]]:
+    """Each facet's values on the lattice points, one point at a time.
+
+    The facet's integer form is evaluated at every lattice point and the
+    resulting vector divided by its gcd.
+    """
+    rows = []
+    for f in p.facets:
+        a, b = f.int_form
+        vals = [sum(c * x for c, x in zip(a, pt)) + b for pt in p.lattice_points]
+        g = gcd(*vals)
+        rows.append(tuple(v // g for v in vals))
+    return rows
+
+
+def unit_chain_length_by_search(p) -> int:
+    """Longest unit chain, by depth-first search over ordered (point, facet) sequences.
+
+    A sequence extends by a facet not yet used and a point not yet used
+    that has value 1 on that facet and value 0 on every earlier one.
+    Nothing is memoized and the search never stops early, so its cost is
+    the number of such sequences.
+    """
+    rows = facet_rows_by_forms(p)
+
+    def longest(facets: list[int], free: list[int]) -> int:
+        # free: the unused points with value 0 on every facet so far.
+        best = len(facets)
+        for f, row in enumerate(rows):
+            if f not in facets:
+                for i in free:
+                    if row[i] == 1:
+                        rest = [j for j in free if j != i and row[j] == 0]
+                        best = max(best, longest(facets + [f], rest))
+        return best
+
+    return longest([], list(range(len(p.lattice_points))))
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

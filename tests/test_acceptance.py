@@ -149,7 +149,7 @@ def test_06_exhaustive_threedim_characterization(capsys):
 
 def test_07_property_battery(capsys):
     t0 = time.perf_counter()
-    family = list(all_01_polytopes(3)) + random_01_polytopes(4, 500, seed=0)
+    family = list(all_01_polytopes(3)) + list(random_01_polytopes(4, 500, seed=0))
     rep = verify_family(family)
     by_name = {o.name: o for o in rep.outcomes}
     ok = (rep.ok

@@ -28,6 +28,7 @@ from polyclass import (
     product_decompose_01,
     pyramid,
     pyramid_peel,
+    random_01_polytopes,
     simplex,
     two_triangles_bridge,
     validate_unit_chain,
@@ -35,7 +36,7 @@ from polyclass import (
 )
 from polyclass import analysis
 from polyclass.analysis import CheckOutcome
-from oracles import is_normal_by_levels
+from oracles import facet_rows_by_forms, is_normal_by_levels, unit_chain_length_by_search
 from support import SQUARE_PYRAMID, named_corpus, pyramid_invariance_bases
 from test_invariance import unimodular_image, unimodular_images
 
@@ -267,6 +268,39 @@ class TestUnitChains:
         # the chain conditions are vacuous at length zero
         empty = UnitChain(0, (), ())
         assert validate_unit_chain(cube(2), empty)
+
+
+class TestFacetRowsAndChains:
+    """Value rows and unit-chain lengths against the point-by-point oracles.
+
+    The plain chain search costs one step per ordered sequence: a few ms
+    up to dim 3, and up to ~0.4 s on a 0/1 polytope in R^4 with at most
+    SEARCH_POINT_CAP lattice points, but seconds with more.
+    """
+
+    SEARCH_POINT_CAP = 8
+
+    def check(self, p: Polytope) -> None:
+        assert [f.row for f in p.facets] == facet_rows_by_forms(p)
+        for f in p.facets:
+            assert f.values == dict(zip(p.lattice_points, f.row))
+        if p.dim <= 3 or len(p.lattice_points) <= self.SEARCH_POINT_CAP:
+            assert k_number(p).k == unit_chain_length_by_search(p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(unimodular_images())
+    def test_unimodular_images(self, pair):
+        for p in pair:
+            self.check(p)
+
+    def test_named_corpus(self):
+        for _, p in named_corpus():
+            if p.dim >= 1:
+                self.check(p)
+
+    def test_fourdim_samples(self):
+        for p in random_01_polytopes(4, 100, seed=0):
+            self.check(p)
 
 
 class TestPyramidPeel:

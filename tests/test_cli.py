@@ -317,7 +317,7 @@ class TestVerifyCommand:
         assert f"counterexample for {analysis.CHECK_NAMES[0]}" in out
 
     def test_counterexample_is_labelled_by_its_first_occurrence(self, capsys, monkeypatch):
-        samples = random_01_polytopes(2, 6, 0)
+        samples = list(random_01_polytopes(2, 6, 0))
         repeated = next(p for i, p in enumerate(samples) if p in samples[:i])
         first = samples.index(repeated)
         assert first == 1 and samples.count(repeated) == 3

@@ -266,12 +266,13 @@ class TestExhaustiveFamily:
 
 class TestRandomFamily:
     def test_deterministic_in_seed(self):
-        a = random_01_polytopes(3, 25, seed=42)
-        b = random_01_polytopes(3, 25, seed=42)
+        a = list(random_01_polytopes(3, 25, seed=42))
+        b = list(random_01_polytopes(3, 25, seed=42))
         assert a == b
 
     def test_seed_changes_sequence(self):
-        assert random_01_polytopes(3, 25, seed=0) != random_01_polytopes(3, 25, seed=1)
+        assert (list(random_01_polytopes(3, 25, seed=0))
+                != list(random_01_polytopes(3, 25, seed=1)))
 
     def test_members_are_full_dimensional(self):
         for p in random_01_polytopes(4, 10, seed=3):
@@ -279,7 +280,7 @@ class TestRandomFamily:
             assert p.is_01
 
     def test_count_must_be_nonnegative(self):
-        assert random_01_polytopes(3, 0, seed=0) == []
+        assert list(random_01_polytopes(3, 0, seed=0)) == []
         with pytest.raises(ValueError, match="nonnegative"):
             random_01_polytopes(3, -2, seed=0)
 

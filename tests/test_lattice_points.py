@@ -114,7 +114,7 @@ class TestPrefixMemo:
         try:
             sys.setswitchinterval(1e-5)
             for workers in (None, 2, 4):
-                fam = random_01_polytopes(4, 60, seed=3)
+                fam = list(random_01_polytopes(4, 60, seed=3))
                 polytope._prefix_bounds.cache_clear()
                 report = verify_family(fam, workers=workers)
                 runs.append((report, [p.lattice_points for p in fam],
@@ -143,7 +143,7 @@ class TestPrefixMemoWork:
 
     def test_fourdim_samples_build_fifty_five(self, monkeypatch):
         # 300 prefix projections (100 polytopes, 3 each) on 55 point sets.
-        fam = random_01_polytopes(4, 100, seed=0)
+        fam = list(random_01_polytopes(4, 100, seed=0))
         assert self.count_projection_hulls(monkeypatch, fam) == 55
 
 
