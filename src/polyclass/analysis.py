@@ -11,9 +11,9 @@ This module decides the properties the class-group machinery feeds on:
   so the bound is dim - 1 less one per pyramid apex, or, when the
   apex-free core splits into coordinate blocks, the largest such bound
   of a block.  The test still runs on the polytope itself: a non-sum of
-  a face or a factor is one of the whole.  Each level is a set of
-  points packed into single ints, one bit field per coordinate, so a
-  level is built by int additions.
+  a face or a factor is one of the whole.  Each level is one int used
+  as a bitset over a mixed-radix key of the pivot coordinates of the
+  affine hull, so a level is built by shifts and ors.
   ``is_normal_bruteforce`` re-decides the same question point by point
   up to height dim and serves as an independent oracle,
 * ``k_number`` -- the longest chain of distinct lattice points and
@@ -45,6 +45,8 @@ from .intlinalg import _echelon_int, in_row_lattice
 from .polytope import Point, Polytope, _eval_form
 
 Verdict = bool | None
+
+_DENSE_LEVEL_BITS = 1 << 20  # is_normal's levels are bitsets up to this key box (128 KB)
 
 
 def is_compressed(p: Polytope) -> bool:
@@ -167,45 +169,70 @@ def is_normal(p: Polytope) -> bool:
     only sufficient for products: forms of P may couple coordinates the
     core's own facets do not.
 
-    Each point z is held as one int, key(z) = sum_i z_i * 2^t_i, so the
-    level sets {s + g} are sets of ints.  The offsets t_i give coordinate
-    i a bit field of width b_i = ((dim-1) * (M_i - m_i)).bit_length(),
-    where m_i and M_i are the least and greatest i-th vertex coordinates.
-    Two points of h*P, h <= dim-1, differ in coordinate i by less than
-    2^b_i, so key is injective on h*P: at the first coordinate where they
-    differ the difference is a nonzero multiple of 2^t_i below
-    2^(t_i + b_i) in size, which the later fields, multiples of
-    2^(t_i + b_i), cannot cancel.  The key is linear, so key(s) + key(g)
-    = key(s + g) exactly: a carry or borrow between fields is plain int
-    arithmetic and loses nothing, and no shift by the m_i is needed.  A
-    point of h*P is thus a sum exactly when its key is in the level set;
-    only the points that miss are tested against the lattice, whose basis
-    is built on the first such test.  The level set holds keys of points
-    of h*P only, so when it is as large as h*P every point is a sum and
-    no key needs computing.
+    Each point z of h*P is held as one int key_h(z), a mixed-radix
+    number over the pivot coordinates of aff(P): the columns after the
+    first that the echelon form of the rows (1, v), v a vertex, pivots
+    on.  Every other coordinate is an affine function of them on the
+    vertices, hence on aff(P), so they determine a point of h*aff(P).
+    Digit i is z_i - h*m_i with radix R_i = top*(M_i - m_i) + 1, m_i and
+    M_i the least and greatest i-th vertex coordinates, so it lies in
+    [0, R_i) for h <= top and key_h is injective on h*P.  As key_h(z) =
+    raw(z) - h*base with raw linear, key_{h-1}(s) + key_1(g) =
+    key_h(s + g), and the level at height h is the set of keys of such
+    sums.  While the key box prod(R_i) is within _DENSE_LEVEL_BITS the
+    level is one int used as a bitset, the or of prev << key_1(g) over
+    the generators, sized by its bit count; past that (a shear can
+    stretch a coordinate by millions while the walk stays cheap) it is a
+    set of the same keys.  A point of h*P is a sum exactly when its key
+    is in the level; only the points that miss are tested against the
+    lattice, whose basis is built on the first such test.  The level
+    holds keys of points of h*P only, so when it is as large as h*P
+    every point is a sum and no key needs computing.
     """
     top = _normal_height_bound(p)
     if top <= 1:
         return True
-    d = p.dim
-    gens = p.lattice_points
-    weights = []
-    shift = 0
-    for col in zip(*p.vertices):
-        weights.append(1 << shift)
-        shift += ((d - 1) * (max(col) - min(col))).bit_length()
-    gen_keys = [sum(map(mul, g, weights)) for g in gens]
-    prev = set(gen_keys)
+    weights, base, box = _level_key(p, top)
+    gen_keys = [sum(map(mul, g, weights)) - base for g in p.lattice_points]
+    dense = box <= _DENSE_LEVEL_BITS
+    prev = sum(1 << k for k in gen_keys) if dense else set(gen_keys)
     for h in range(2, top + 1):
-        level = {s + g for s in prev for g in gen_keys}
+        if dense:
+            level = 0
+            for k in gen_keys:
+                level |= prev << k
+            size = level.bit_count()
+        else:
+            level = {s + k for s in prev for k in gen_keys}
+            size = len(level)
         pts = p._scaled_lattice_points(h)
-        if len(level) < len(pts):
+        if size < len(pts):
             for z in pts:
-                if (sum(map(mul, z, weights)) not in level
+                k = sum(map(mul, z, weights)) - h * base
+                if (not (level >> k & 1 if dense else k in level)
                         and in_row_lattice(p.lattice_height_basis, z + (h,))):
                     return False
         prev = level
     return True
+
+
+def _level_key(p: Polytope, top: int) -> tuple[list[int], int, int]:
+    """``(weights, base, box)`` of :func:`is_normal`'s key up to height ``top``.
+
+    key_h(z) = sum(weights[j] * z_j) - h*base lies in range(box) for z in
+    h*P, h <= top.  Coordinate j is a pivot unless an equation of aff(P),
+    in echelon form from the right, has its last nonzero coefficient at j.
+    """
+    n = p.ambient_dim
+    fixed = {n - 1 - c for c in _echelon_int([a[::-1] for a, _ in p.affine_hull_forms], n)[1]}
+    weights = [0] * n
+    base, box = 0, 1
+    for j, col in enumerate(zip(*p.vertices)):
+        if j not in fixed:
+            weights[j] = box
+            base += box * min(col)
+            box *= top * (max(col) - min(col)) + 1
+    return weights, base, box
 
 
 def is_normal_bruteforce(p: Polytope) -> bool:

@@ -102,10 +102,13 @@ def _validate_vertices(points: Iterable[Sequence[int]],
         pts.append(tuple(int(v) for v in tp))
     if not pts:
         raise ValueError("a polytope needs at least one vertex")
+    if ambient_dim is not None and ambient_dim < 0:
+        raise ValueError(f"ambient_dim must be non-negative, got {ambient_dim}")
     d = ambient_dim if ambient_dim is not None else len(pts[0])
     for p in pts:
         if len(p) != d:
-            raise ValueError("all vertices must have the same dimension")
+            raise ValueError("all vertices must have the same dimension" if ambient_dim is None
+                             else f"vertex {p} has length {len(p)}, expected {d}")
     return pts, d
 
 

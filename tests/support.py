@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from itertools import permutations
+from pathlib import Path
 
 from polyclass import (
     Graph,
@@ -25,6 +28,19 @@ SQUARE_PYRAMID = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)
 REEVE_SIMPLEX = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
 TRIANGLE_GRAPH = Graph(3, [(0, 1), (0, 2), (1, 2)])
 FOUR_CYCLE = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+# The 3x3 permutation matrices: neither a pyramid nor a product, so
+# is_normal walks it at heights 2 and 3.
+BIRKHOFF_B3 = Polytope([tuple(int(s[i] == j) for i in range(3) for j in range(3))
+                        for s in permutations(range(3))])
+
+
+def benchmark_workloads():
+    """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_int_matrix(rng: random.Random, max_rows: int = 8,

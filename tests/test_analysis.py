@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,11 +35,15 @@ from polyclass import (
 from polyclass import analysis
 from polyclass.analysis import CheckOutcome
 from oracles import facet_rows_by_forms, is_normal_by_levels, unit_chain_length_by_search
-from support import SQUARE_PYRAMID, named_corpus, pyramid_invariance_bases
+from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, named_corpus,
+                     pyramid_invariance_bases)
 from test_invariance import unimodular_image, unimodular_images
 
 # Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
 BRUTEFORCE_POINT_CAP = 40
+# Non-normal tetrahedra whose non-sums lie at height 2.
+POWER_OF_TWO_TETRAHEDRON = Polytope([(0, 0, 1), (0, 2, 0), (2, 0, 0), (2, 2, 2)])
+WIDTHS_3_TETRAHEDRON = Polytope([(0, 0, 2), (2, 3, 0), (3, 1, 3), (3, 3, 0)])
 
 
 class TestCompressed:
@@ -89,7 +91,7 @@ class TestNormality:
 
 
 class TestPackedNormality:
-    """is_normal packs each point of h*P into one int; the oracle keeps tuples."""
+    """is_normal keys each point of h*P by one int; the oracle keeps tuples."""
 
     @settings(deadline=None, max_examples=150)
     @given(unimodular_images())
@@ -110,23 +112,63 @@ class TestPackedNormality:
         assert not is_normal_bruteforce(p)
 
     def test_field_width_at_a_power_of_two(self):
-        # Every coordinate has width 2, so (dim - 1) * width = 4 = 2^2 and
-        # the largest difference at height 2 needs the full three bits.
-        p = Polytope([(0, 0, 1), (0, 2, 0), (2, 0, 0), (2, 2, 2)])
+        # Every coordinate has width 2, so at height 2 a digit takes every
+        # value 0..4 of its radix top * width + 1 = 5.
+        p = POWER_OF_TWO_TETRAHEDRON
         assert p.dim == 3
         assert {max(col) - min(col) for col in zip(*p.vertices)} == {2}
         assert not is_normal(p)
         assert not is_normal_bruteforce(p)
 
     def test_one_bit_narrower_fields_would_hide_a_non_sum(self):
-        # Widths 3 need 3-bit fields: points of 2P differ by up to 6 in a
-        # coordinate.  In 2-bit fields, a difference of 4 in one coordinate
-        # and -1 in the next cancels, and a point of 2P that is no sum of
-        # two lattice points gets the key of one that is.
-        p = Polytope([(0, 0, 2), (2, 3, 0), (3, 1, 3), (3, 3, 0)])
-        assert len(p.lattice_points) == 5
-        assert not is_normal(p)
-        assert not is_normal_bruteforce(p)
+        # Widths 3 give digits of radix 2 * 3 + 1 = 7 at top = 2.  The
+        # lattice pyramid over a non-normal tetrahedron has top = 2 too, and
+        # its non-sum (4, 1, 2, 2) of 2P takes the top digit 2 * (2 - 1) of
+        # radix 3 in the first coordinate: with radix 2 that digit carries
+        # into the next one and the point gets the key of a sum.
+        pyr = Polytope([(1, 1, 1, 1), (2, 0, 0, 2), (2, 0, 1, 0), (2, 1, 2, 1), (2, 2, 0, 2)])
+        assert len(WIDTHS_3_TETRAHEDRON.lattice_points) == 5
+        assert analysis._normal_height_bound(pyr) == 2
+        for p in (WIDTHS_3_TETRAHEDRON, pyr):
+            assert not is_normal(p)
+            assert not is_normal_bruteforce(p)
+
+    @pytest.mark.parametrize("p", [
+        POWER_OF_TWO_TETRAHEDRON,
+        WIDTHS_3_TETRAHEDRON,
+        edge_polytope(two_triangles_bridge()),
+        BIRKHOFF_B3,
+    ], ids=["power-of-two", "widths-3", "bridged-triangles", "birkhoff-b3"])
+    def test_sparse_levels_past_the_dense_key_box(self, p):
+        # Shearing the last keyed coordinate by 10^7 * x_1 keeps the walks
+        # cheap but stretches the key box far past a dense bitset, so the
+        # levels become sets of keys.  On full-dimensional inputs that is
+        # the last coordinate; on the others the affine hull fixes the last
+        # coordinate, so shearing it would leave the key as it is.
+        weights = analysis._level_key(p, 2)[0]
+        j = max(i for i, w in enumerate(weights) if w)
+        sheared = Polytope([v[:j] + (v[j] + 10 ** 7 * v[0],) + v[j + 1:] for v in p.vertices])
+        for q, sparse in ((p, False), (sheared, True)):
+            top = analysis._normal_height_bound(q)
+            assert top >= 2
+            assert (analysis._level_key(q, top)[2] > analysis._DENSE_LEVEL_BITS) == sparse
+            assert is_normal(q) == is_normal_bruteforce(q)
+
+    def test_benchmark_inputs_key_into_dense_levels(self):
+        # The key runs over the pivot coordinates of the affine hull, not
+        # the ambient ones: B3 is keyed on 4 of its 9 coordinates.
+        workloads = benchmark_workloads()
+        corpus = workloads.deep_corpus()
+        walked = 0
+        for verts in list(corpus.values()) + workloads.wide_pool(0):
+            p = Polytope(verts)
+            top = analysis._normal_height_bound(p)
+            if top >= 2:
+                walked += 1
+                assert analysis._level_key(p, top)[2] <= analysis._DENSE_LEVEL_BITS, verts
+        assert walked == 7 + 63
+        b3 = Polytope(corpus["birkhoff-b3"])
+        assert analysis._level_key(b3, analysis._normal_height_bound(b3))[2] == 4 ** 4
 
 
 @st.composite
@@ -191,9 +233,7 @@ class TestNormalHeightBound:
 
     def test_birkhoff_b3_walks_heights_two_and_three(self, monkeypatch):
         # Neither a pyramid nor a product: heights 2 .. dim - 1.
-        p = Polytope([tuple(int(s[i] == j) for i in range(3) for j in range(3))
-                      for s in permutations(range(3))])
-        assert self.walked_heights(monkeypatch, p) == (True, [2, 3])
+        assert self.walked_heights(monkeypatch, BIRKHOFF_B3) == (True, [2, 3])
 
     @pytest.mark.parametrize("make", [
         lambda t: product(t, simplex(1)),
@@ -203,7 +243,7 @@ class TestNormalHeightBound:
     def test_a_non_normal_factor_shows_below_the_bound(self, monkeypatch, make):
         # This tetrahedron's non-sums lie at height 2; the polytopes built
         # from it have dimension 4, so the unreduced test would walk to 3.
-        t = Polytope([(0, 0, 1), (0, 2, 0), (2, 0, 0), (2, 2, 2)])
+        t = POWER_OF_TWO_TETRAHEDRON
         p = make(t)
         assert (p.dim, analysis._normal_height_bound(p)) == (4, 2)
         assert self.walked_heights(monkeypatch, p) == (False, [2])

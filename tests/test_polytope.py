@@ -34,6 +34,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Polytope([(0, 0), (1,)])
 
+    def test_vertex_length_errors_name_the_vertex(self):
+        with pytest.raises(ValueError, match=r"^vertex \(1, 2\) has length 2, expected 3$"):
+            Polytope([(1, 2)], 3)
+        with pytest.raises(ValueError, match="^ambient_dim must be non-negative, got -1$"):
+            Polytope.from_points([(1, 2)], -1)
+        with pytest.raises(ValueError, match="^all vertices must have the same dimension$"):
+            Polytope([(0, 0), (1,)])
+
     def test_rejects_non_integer_coordinates(self):
         with pytest.raises(TypeError):
             Polytope([(0.0, 1), (1, 0)])

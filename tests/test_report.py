@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,15 +25,7 @@ from polyclass import (
 )
 from polyclass import cli
 from polyclass.report import _dumps
-
-
-def _benchmark_workloads():
-    """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from support import benchmark_workloads
 
 
 # Strings heavy in what JSON must escape: quotes, backslashes, control
@@ -156,7 +146,7 @@ class TestJsonEmitter:
                 _dumps(doc, "\n")
 
     def test_reports_match_the_stdlib(self):
-        workloads = _benchmark_workloads()
+        workloads = benchmark_workloads()
         named = [(name, fixture(name)) for name in fixture_names()]
         named += [(f"r3-{i}", p) for i, p in enumerate(all_01_polytopes(3))]
         named += [(name, Polytope(v)) for name, v in workloads.deep_corpus().items()]
@@ -171,7 +161,7 @@ def test_reports_and_checks_read_value_rows_only():
     # The value mappings are for the library API; analyze and the checks
     # read the aligned rows, so no facet builds its mapping on their path.
     named = [(name, fixture(name)) for name in fixture_names()]
-    named += [(name, Polytope(v)) for name, v in _benchmark_workloads().deep_corpus().items()]
+    named += [(name, Polytope(v)) for name, v in benchmark_workloads().deep_corpus().items()]
     for name, p in named:
         rep = analyze(p, name=name)
         rep.to_json()
@@ -185,7 +175,7 @@ def test_reports_and_checks_read_value_rows_only():
                                            ("verify-r4", 3)])
 def test_cli_reproduces_the_benchmark_pins(tmp_path, workload, ops):
     """``cli.main`` writes the bytes ``perfbench/reference.json`` pins, at seed 0."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     w = workloads.make(workload, 0, tmp_path)
     # An analyze workload's ops are one pass over its inputs; each verify-r4
     # op draws its own seed, and the first three stand for the hundred pinned.
