@@ -10,10 +10,11 @@ This module decides the properties the class-group machinery feeds on:
   or a coordinate product is normal iff its base or its factors are,
   so the bound is dim - 1 less one per pyramid apex, or, when the
   apex-free core splits into coordinate blocks, the largest such bound
-  of a block.  The test still runs on the polytope itself: a non-sum of
-  a face or a factor is one of the whole.  Each level is one int used
-  as a bitset over a mixed-radix key of the pivot coordinates of the
-  affine hull, so a level is built by shifts and ors.
+  of a block, found exactly by ``_coordinate_blocks``.  The test still
+  runs on the polytope itself: a non-sum of a face or a factor is one of
+  the whole.  Each level is one int used as a bitset over a mixed-radix
+  key of the pivot coordinates of the affine hull, so a level is built
+  by shifts and ors.
   ``is_normal_bruteforce`` re-decides the same question point by point
   up to height dim and serves as an independent oracle,
 * ``k_number`` -- the longest chain of distinct lattice points and
@@ -23,7 +24,7 @@ This module decides the properties the class-group machinery feeds on:
 * ``pyramid_peel`` -- strips pyramid apexes whose removal provably
   preserves the class group (all other lattice points on the base),
 * ``product_decompose_01`` -- finest coordinate-block factorization of
-  a (0,1)-polytope into a cartesian product,
+  a (0,1)-polytope into a cartesian product, by ``_coordinate_blocks``,
 * ``classify_segre`` -- decides whether a (0,1)-polytope with exactly
   dim + 2 facets is, up to polynomial extension, a product of two
   simplices (toric ring a Segre product of two polynomial rings),
@@ -36,8 +37,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Iterable, Literal
+from itertools import chain
+from math import gcd, prod
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Literal, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
@@ -60,69 +63,114 @@ def is_compressed(p: Polytope) -> bool:
     return all(set(f.row) <= {0, 1} for f in p.facets)
 
 
+def _apexes(p: Polytope) -> dict[int, Point]:
+    """The lattice-pyramid apexes of P, keyed by the id of their facet.
+
+    An apex is the only lattice point off a facet: the facet's row has
+    one nonzero entry, a 1.  Distinct apex facets have distinct apexes.
+    """
+    pts = p.lattice_points
+    rest = len(p.vertices) - 1  # implied by the row; compared first as it is cheaper
+    return {f.facet_id: pts[f.row.index(1)] for f in p.facets
+            if len(f.vertex_set) == rest and f.row.count(0) == len(pts) - 1}
+
+
+def _solve_last(eqs: list[Sequence[int]], n: int) -> dict[int, list[int]]:
+    """Linear equations solved for their last coordinates: {coordinate j: row}.
+
+    Primitive row j ends at j and is zero at the other solved coordinates:
+    the reduced echelon form of ``eqs`` from the right, by one Bareiss
+    elimination on reversed columns and back-substitution, in int.
+    """
+    if not eqs:
+        return {}
+    ech, cols, _ = _echelon_int([a[::-1] for a in eqs], n)
+    solved: dict[int, list[int]] = {}
+    for r, c in zip(reversed(ech), reversed(cols)):
+        row = r[::-1]
+        for j, s in solved.items():
+            x = row[j]
+            if x:
+                row = [u * s[j] - x * v for u, v in zip(row, s)]
+        g = gcd(*row)
+        solved[n - 1 - c] = [u // g for u in row]
+    return solved
+
+
+def _coordinate_blocks(eqs: list[Sequence[int]], forms: list[Sequence[int]],
+                       n: int) -> list[tuple[list[int], int]]:
+    """The finest factorization of a polytope as a product over coordinate blocks.
+
+    ``eqs`` and ``forms`` are the linear parts of the polytope's affine
+    hull equations and facet forms.  With ``eqs`` solved (:func:`_solve_last`)
+    a form reduced modulo the rows is a function of the free coordinates,
+    unique up to scale.  Free coordinates in the support of one row or
+    reduced form are joined, and a solved one goes with its row.  Forms
+    that each depend on one block cut out the product of the projections
+    onto the blocks, and a facet of a coordinate product reduces into one
+    factor's block, so the blocks are exact.  Returns ``(coordinates, free
+    count)`` per block, by first coordinate; constant coordinates are in none.
+    """
+    solved = _solve_last(eqs, n)
+    free = [j for j in range(n) if j not in solved]
+    label = list(range(n))
+    blocks = len(free)
+    for i, a in enumerate(chain(solved.values(), forms)):
+        if blocks <= 1:
+            break
+        if solved and i >= len(solved):  # a form: reduce it
+            for j, row in solved.items():
+                x = a[j]
+                if x:
+                    a = [u * row[j] - x * v for u, v in zip(a, row)]
+        joined = {label[k] for k in free if a[k]}
+        if len(joined) > 1:
+            t = min(joined)
+            label = [t if b in joined else b for b in label]
+            blocks -= len(joined) - 1
+    for j, row in solved.items():
+        label[j] = next((label[k] for k in free if row[k]), -1)
+    if blocks == 1:  # the usual case, returned without the grouping below
+        return [([j for j, b in enumerate(label) if b >= 0], len(free))]
+    out: dict[int, list[int]] = {}
+    for j, b in enumerate(label):
+        if b >= 0:
+            out.setdefault(b, []).append(j)
+    return [(block, len([j for j in block if j not in solved])) for block in out.values()]
+
+
 def _normal_height_bound(p: Polytope) -> int:
     """A height ``top`` such that P is normal iff h*P passes the level test for h <= top.
 
     Starts from dim - 1 and lowers it through lattice pyramids and
-    coordinate products; see :func:`is_normal` for the argument.  Builds
-    no polytope: everything is read off ``p._hull``, the facet values and
-    the lattice points.
+    coordinate products (see :func:`is_normal`), reading only the hull,
+    the facet values and the lattice points: it builds no polytope.
     """
     d = p.dim
     if d <= 2:
         return d - 1
-    verts = p.vertices
-    aff, raw = p._hull
-    # Apexes: a facet missing one vertex is an apex facet when that vertex
-    # is the only lattice point off it.
-    apexes = set()
-    rest = len(verts) - 1
-    for f in p.facets:
-        if len(f.vertex_set) == rest and len(f.row) - f.row.count(0) == 1:
-            apexes.add(next(i for i in range(len(verts)) if i not in f.vertex_set))
+    apexes = _apexes(p)
     top = d - 1 - len(apexes)
     if top <= 1:
         return top
-    # Coordinate blocks of the core: union-find over the form supports.
-    core = [v for i, v in enumerate(verts) if i not in apexes]
-    var = [j for j, col in enumerate(zip(*core)) if min(col) < max(col)]
-    root = {j: j for j in var}
-
-    def find(j: int) -> int:
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
-    blocks = len(var)
-    supports = []
-    for a in [a for a, _ in aff] + [a for (a, _), _ in raw]:
-        support = [j for j in var if a[j]]
-        supports.append(support)
-        for j in support[1:]:
-            r, s = find(support[0]), find(j)
-            if r != s:
-                root[s] = r
-                blocks -= 1
-                if blocks == 1:
-                    return top
-    apex_pts = {verts[i] for i in apexes}
+    # The core is the face the apex facets cut out.
+    others = [f for f in p.facets if f.facet_id not in apexes] if apexes else p.facets
+    eqs = [a for a, _ in p.affine_hull_forms] + [p.facets[i].int_form[0] for i in apexes]
+    blocks = _coordinate_blocks(eqs, [f.int_form[0] for f in others], p.ambient_dim)
+    if len(blocks) == 1:
+        return top
     pts = p.lattice_points
     tops = []
-    for b in {find(j) for j in var}:
-        block = [j for j in var if find(j) == b]
-        proj = {tuple([v[j] for j in block]) for v in core}
-        dim_b = len(_echelon_int([(1,) + q for q in proj], len(block) + 1)[1]) - 1
-        # The factor's apexes: lone projected core points off a facet of P
-        # whose support on the varying coordinates lies in the block.
+    for coords, free in blocks:
+        # The factor's apexes: lone projected points off a facet of P (the
+        # apexes are on it).  On a one-coordinate block a projection is an int.
+        proj = list(map(itemgetter(*coords), pts))
         lone = set()
-        for fid, support in enumerate(supports[len(aff):]):
-            if support and find(support[0]) == b:
-                off = {tuple([z[j] for j in block])
-                       for z, v in zip(pts, p.facets[fid].row) if v and z not in apex_pts}
-                if len(off) == 1:
-                    lone |= off
-        tops.append(dim_b - 1 - len(lone))
+        for f in others:
+            off = {q for q, v in zip(proj, f.row) if v}
+            if len(off) == 1:
+                lone |= off
+        tops.append(free - 1 - len(lone))
     return max(tops)
 
 
@@ -142,32 +190,29 @@ def is_normal(p: Polytope) -> bool:
     * **Lattice pyramids.**  An apex is the only lattice point off a
       facet F; then L is L_F plus Z(a, 1), a direct sum, and the cone
       over P meets L in (C_F cap L_F) + N(a, 1), so P is normal iff F is.
-      Facets missing exactly one vertex are the candidates, confirmed by
-      their values; distinct apex facets have distinct apexes, and k of
-      them make P a k-fold pyramid over the face ``core`` spanned by the
-      other vertices, of dimension dim - k.  So top = dim - 1 - k, and
-      with dim - k <= 2 (a simplex without other lattice points has
-      k = dim + 1) there is nothing to walk.
-    * **Coordinate products.**  Join, by union-find, the coordinates
-      that vary on the core and appear together in the support of an
-      affine hull equation or facet form of P.  On the core the other
-      coordinates are constant, so each form is a function of one
-      block, and with more than one block the core is exactly the
-      product of its projections Q_B onto the blocks.  A product is
-      normal iff each factor is: at height h its lattice points and
-      its points in L are the products of the factors' ones, so a
-      factor's non-sum z at height h pairs with h times one lattice
+      Its value row has one nonzero entry (:func:`_apexes`); distinct
+      apex facets have distinct apexes, and k of them make P a k-fold
+      pyramid over the face ``core`` spanned by the other vertices, of
+      dimension dim - k.  So top = dim - 1 - k, and with dim - k <= 2 (a
+      simplex without other lattice points has k = dim + 1) there is
+      nothing to walk.
+    * **Coordinate products.**  From the equations of aff(P) and of the
+      apex facets, which cut out aff(core), and the other facet forms,
+      :func:`_coordinate_blocks` finds the finest coordinate blocks B,
+      and the core is the product of its projections Q_B onto them.  A
+      product is normal iff each factor is: at height h its lattice
+      points and its points in L are the products of the factors' ones,
+      so a factor's non-sum z at height h pairs with h times one lattice
       point of the other factors to a non-sum of the core.  Each factor
-      is again reduced by its apexes: the lone projected core points
-      off a facet of P supported in its block.  So top is the largest
-      dim_B - 1 - k_B, dim_B the affine rank of the projected core
-      vertices and k_B the number of those apexes.
+      is again reduced by its apexes: the lone projected core points off
+      a facet of P.  So top is the largest dim_B - 1 - k_B, dim_B the
+      number of free coordinates in B and k_B the number of those apexes.
 
     Checking P itself at heights <= top is exact: a point of a face
     decomposes inside the face (the face's lattice lies in L), so the
-    witness of a non-normal core or factor is one of P.  The test is
-    only sufficient for products: forms of P may couple coordinates the
-    core's own facets do not.
+    witness of a non-normal core or factor is one of P.  Only sheared
+    products are missed: a unimodular map that mixes the factors'
+    coordinates leaves no coordinate split, and top stays dim - 1 - k.
 
     Each point z of h*P is held as one int key_h(z), a mixed-radix
     number over the pivot coordinates of aff(P): the columns after the
@@ -220,12 +265,11 @@ def _level_key(p: Polytope, top: int) -> tuple[list[int], int, int]:
     """``(weights, base, box)`` of :func:`is_normal`'s key up to height ``top``.
 
     key_h(z) = sum(weights[j] * z_j) - h*base lies in range(box) for z in
-    h*P, h <= top.  Coordinate j is a pivot unless an equation of aff(P),
-    in echelon form from the right, has its last nonzero coefficient at j.
+    h*P, h <= top.  Coordinate j is a pivot unless :func:`_solve_last`
+    solves an equation of aff(P) for it.
     """
-    n = p.ambient_dim
-    fixed = {n - 1 - c for c in _echelon_int([a[::-1] for a, _ in p.affine_hull_forms], n)[1]}
-    weights = [0] * n
+    fixed = _solve_last([a for a, _ in p.affine_hull_forms], p.ambient_dim)
+    weights = [0] * p.ambient_dim
     base, box = 0, 1
     for j, col in enumerate(zip(*p.vertices)):
         if j not in fixed:
@@ -380,83 +424,37 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
 
 
 def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
-    """Strip apexes while the polytope is a pyramid in the lattice sense.
+    """Strip the apexes of P in the lattice-pyramid sense: ``(core, apex count)``.
 
-    An apex is a lattice point that is the only one off some facet; the
-    facet is then the base and carries the same class group data.  The
-    first peelable facet in canonical order is used, repeatedly, and
-    the final core plus the apex count is returned.
+    An apex is the only lattice point off some facet, which is then the
+    base and carries the same class group data.  The other apexes of P
+    are exactly those of the base, so the core is spanned by the vertices
+    that are not apexes; an empty simplex, all apexes, keeps its first
+    vertex with dim apexes.  Without apexes the core is P itself.
     """
-    core = p
-    apexes = 0
-    while core.dim >= 1:
-        base = next((f for f in core.facets if len(f.row) - f.row.count(0) == 1), None)
-        if base is None:
-            break
-        core = Polytope([core.vertices[i] for i in base.vertex_set], core.ambient_dim)
-        apexes += 1
-    return core, apexes
+    apexes = _apexes(p) if p.dim >= 1 else {}
+    if not apexes:
+        return p, 0
+    core = [v for v in p.vertices if v not in apexes.values()] or [p.vertices[0]]
+    return Polytope(core, p.ambient_dim), min(len(apexes), p.dim)
 
 
 def product_decompose_01(p: Polytope) -> list[Polytope]:
     """Finest cartesian factorization of a (0,1)-polytope's vertex set.
 
-    Coordinates constant across all vertices are dropped (they only
-    contribute single-point factors).  Among the rest, a coordinate
-    subset S is splitting when the vertex set equals the product of its
-    projections to S and its complement; splitting sets are closed
-    under intersection and complement, so the minimal splitting set
-    through each coordinate is well defined and these atoms partition
-    the coordinates.  Factors are returned as polytopes in their own
-    coordinates, ordered by their smallest original coordinate, and a
-    non-decomposable input yields a singleton list.  Cost is 2^c scans
-    of the vertex set for c varying coordinates.  ``is_normal`` splits
-    coordinates by the supports of the facet forms instead, which is
-    cheaper but may miss a factorization; this one is exact.
+    The factors are the projections of the vertices onto the blocks of
+    :func:`_coordinate_blocks`, each a polytope in its own coordinates,
+    ordered by smallest original coordinate; constant coordinates only
+    give single-point factors and are dropped.  A non-decomposable input
+    yields a singleton list.
     """
     if not p.is_01:
         raise ValueError("product decomposition requires a (0,1)-polytope")
-    verts = p.vertices
-    var = [j for j in range(p.ambient_dim)
-           if any(v[j] != verts[0][j] for v in verts)]
-    if not var:
-        return [p]
-    n = len(var)
-    vset = [tuple(v[j] for j in var) for v in verts]
-    total = len(vset)
-    full = (1 << n) - 1
-
-    def proj_size(mask: int) -> int:
-        idx = [i for i in range(n) if mask >> i & 1]
-        return len({tuple(v[i] for i in idx) for v in vset})
-
-    splitting = [full]
-    for mask in range(1, full):
-        if proj_size(mask) * proj_size(full ^ mask) == total:
-            splitting.append(mask)
-    atoms = []
-    for i in range(n):
-        m = full
-        for s in splitting:
-            if s >> i & 1:
-                m &= s
-        atoms.append(m)
-    blocks = sorted(set(atoms), key=lambda m: next(i for i in range(n) if m >> i & 1))
-    covered = 0
-    for b in blocks:
-        if covered & b:
-            raise InvariantViolation("splitting atoms failed to partition coordinates")
-        covered |= b
-    if covered != full:
-        raise InvariantViolation("splitting atoms failed to cover coordinates")
-    out = []
-    size_product = 1
-    for b in blocks:
-        idx = [i for i in range(n) if b >> i & 1]
-        proj = sorted({tuple(v[i] for i in idx) for v in vset})
-        size_product *= len(proj)
-        out.append(Polytope(proj, len(idx)))
-    if size_product != total:
+    aff, raw = p._hull
+    blocks = _coordinate_blocks([a for a, _ in aff], [a for (a, _), _ in raw], p.ambient_dim)
+    out = [Polytope(sorted({tuple([v[j] for j in coords]) for v in p.vertices}), len(coords))
+           for coords, _ in blocks] or [p]
+    if prod(len(f.vertices) for f in out) != len(p.vertices):
         raise InvariantViolation("factor projections do not multiply back to the vertex set")
     return out
 

@@ -6,11 +6,13 @@ enumeration, facets by trying every subset of dim-many points, vertices by
 the rank of the facets through them, lattice points by scanning the whole
 ambient bounding box, planar hulls by the monotone chain, planar lattice
 point counts by Pick's theorem, normality by the level test at every height
-below the dimension, facet values form by form and point by point, unit
-chains by a search over every ordered sequence, reports by the stdlib's
-JSON encoder.  None of it shares code with the polyclass internals, except
-that the normality level test takes the points of h*P from the library's
-slicing walk, and the facet values start from the library's facet forms.
+below the dimension, coordinate products by trying every coordinate subset,
+pyramid peels one apex at a time, facet values form by form and point by
+point, unit chains by a search over every ordered sequence, reports by the
+stdlib's JSON encoder.  None of it shares code with the polyclass
+internals, except that the normality level test takes the points of h*P
+from the library's slicing walk, the stepwise peel reads the library's
+facet rows, and the facet values start from the library's facet forms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from polyclass import IntMatrix
+from polyclass import IntMatrix, Polytope
 
 
 def det_by_permutations(rows: list[list[int]]) -> int:
@@ -256,6 +258,55 @@ def is_normal_by_levels(p) -> bool:
             if z not in level and in_lattice(z + (h,)):
                 return False
     return True
+
+
+def coordinate_blocks_by_subsets(vertices) -> list[list[int]]:
+    """Finest splitting of a vertex set into a product over coordinate blocks.
+
+    Coordinates constant on the vertices are dropped.  Every subset S of
+    the others is tried: it splits when the vertex set is the product of
+    its projections to S and to the complement.  Splitting sets are
+    closed under intersection, so the least one through each coordinate
+    is well defined; these are the blocks, ordered by first coordinate.
+    The cost is 2^c pairs of projections for c varying coordinates.
+    """
+    var = [j for j, col in enumerate(zip(*vertices)) if min(col) < max(col)]
+    total = len(set(vertices))
+
+    def size(coords):
+        return len({tuple(v[j] for j in coords) for v in vertices})
+
+    splitting = []
+    for mask in range(1, 1 << len(var)):
+        s = [j for i, j in enumerate(var) if mask >> i & 1]
+        if size(s) * size([j for j in var if j not in s]) == total:
+            splitting.append(set(s))
+    blocks = []
+    for j in var:
+        block = set(var)
+        for s in splitting:
+            if j in s:
+                block &= s
+        if sorted(block) not in blocks:
+            blocks.append(sorted(block))
+    return blocks
+
+
+def pyramid_peel_stepwise(p):
+    """Lattice-pyramid apexes peeled one at a time: ``(core, apex count)``.
+
+    While the core has dimension >= 1, the first of its facets in
+    canonical order with one lattice point off it is the base, and the
+    core becomes the polytope on the base's vertices.
+    """
+    core, apexes = p, 0
+    while core.dim >= 1:
+        base = next((f for f in core.facets if len(f.row) - f.row.count(0) == 1), None)
+        if base is None:
+            break
+        core = Polytope([core.vertices[i] for i in base.vertex_set], core.ambient_dim)
+        apexes += 1
+    return core, apexes
 
 
 def facet_rows_by_forms(p) -> list[tuple[int, ...]]:

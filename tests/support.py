@@ -34,6 +34,11 @@ BIRKHOFF_B3 = Polytope([tuple(int(s[i] == j) for i in range(3) for j in range(3)
                         for s in permutations(range(3))])
 
 
+def complete_bipartite(m: int, n: int) -> Graph:
+    """K_{m,n}: its edge polytope is the product of simplices Δ_{m-1} x Δ_{n-1} in R^{m+n}."""
+    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
 def benchmark_workloads():
     """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

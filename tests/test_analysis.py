@@ -34,9 +34,10 @@ from polyclass import (
 )
 from polyclass import analysis
 from polyclass.analysis import CheckOutcome
-from oracles import facet_rows_by_forms, is_normal_by_levels, unit_chain_length_by_search
-from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, named_corpus,
-                     pyramid_invariance_bases)
+from oracles import (coordinate_blocks_by_subsets, facet_rows_by_forms, is_normal_by_levels,
+                     pivot_columns, pyramid_peel_stepwise, unit_chain_length_by_search)
+from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, complete_bipartite,
+                     named_corpus, pyramid_invariance_bases)
 from test_invariance import unimodular_image, unimodular_images
 
 # Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
@@ -177,13 +178,18 @@ def pyramids_and_products(draw):
 
     Factors are hulls of 2..5 points with coordinates 0..3 in R^1, R^2 or
     R^3, so they may be segments in the plane or polygons in space; the
-    results have dimension at most 4.  A pyramid of lift 1 is a lattice
-    pyramid; one of lift 2 is not.  The result is embedded, sheared and
-    translated by ``unimodular_image``.
+    results have dimension at most 4.  A factor may be homogenized,
+    v -> (v, 3 - sum(v)), so that a product has affine hull equations
+    whose kernel basis mixes the factors' coordinates.  A pyramid of lift
+    1 is a lattice pyramid; one of lift 2 is not.  The result is
+    embedded, sheared and translated by ``unimodular_image``.
     """
     def factor(n: int) -> Polytope:
         box = st.tuples(*[st.integers(0, 3)] * n)
-        return Polytope.from_points(draw(st.lists(box, min_size=2, max_size=5, unique=True)))
+        f = Polytope.from_points(draw(st.lists(box, min_size=2, max_size=5, unique=True)))
+        if draw(st.booleans()):
+            f = Polytope([v + (3 - sum(v),) for v in f.vertices])
+        return f
 
     if draw(st.booleans()):
         dims = draw(st.sampled_from(((1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 1, 2))))
@@ -227,7 +233,10 @@ class TestNormalHeightBound:
         lambda: product(simplex(5), simplex(5)),
         lambda: pyramid(product(simplex(1), simplex(10))),
         lambda: dilate(cube(4), 2),
-    ], ids=["cube7", "staircase-r12", "d5xd5", "pyr-d1xd10", "box-0-2-r4"])
+        lambda: edge_polytope(complete_bipartite(4, 4)),
+        lambda: pyramid(edge_polytope(complete_bipartite(3, 4))),
+    ], ids=["cube7", "staircase-r12", "d5xd5", "pyr-d1xd10", "box-0-2-r4", "edge-k4-4",
+            "pyr-edge-k3-4"])
     def test_pyramids_and_products_walk_no_dilation(self, monkeypatch, make):
         assert self.walked_heights(monkeypatch, make()) == (True, [])
 
@@ -247,6 +256,50 @@ class TestNormalHeightBound:
         p = make(t)
         assert (p.dim, analysis._normal_height_bound(p)) == (4, 2)
         assert self.walked_heights(monkeypatch, p) == (False, [2])
+
+
+def coordinate_blocks(p: Polytope) -> list[tuple[list[int], int]]:
+    """``analysis._coordinate_blocks`` on the affine hull and facet forms of ``p``."""
+    aff, raw = p._hull
+    return analysis._coordinate_blocks([a for a, _ in aff], [a for (a, _), _ in raw],
+                                       p.ambient_dim)
+
+
+class TestCoordinateBlocks:
+    """The reduced supports split the coordinates as the subset scan does."""
+
+    @staticmethod
+    def check(p: Polytope) -> None:
+        blocks = coordinate_blocks(p)
+        assert [c for c, _ in blocks] == coordinate_blocks_by_subsets(p.vertices), p.vertices
+        for coords, free in blocks:
+            proj = [tuple(v[j] for j in coords) for v in p.vertices]
+            assert free == len(pivot_columns([[a - b for a, b in zip(q, proj[0])] for q in proj],
+                                             len(coords))), p.vertices
+
+    def test_threedim_sweep(self):
+        from polyclass import all_01_polytopes
+        for p in all_01_polytopes(3):
+            self.check(p)
+
+    def test_fourdim_samples(self):
+        for p in random_01_polytopes(4, 100, seed=0):
+            self.check(p)
+
+    def test_named_and_deep_corpora(self):
+        deep = benchmark_workloads().deep_corpus().values()
+        for p in [p for _, p in named_corpus()] + [Polytope(v) for v in deep]:
+            self.check(p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(pyramids_and_products())
+    def test_pyramids_and_products(self, p):
+        self.check(p)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_complete_bipartite_edge_polytopes(self, m):
+        for n in range(1, 5):
+            self.check(edge_polytope(complete_bipartite(m, n)))
 
 
 class TestUnitChains:
@@ -356,9 +409,19 @@ class TestPyramidPeel:
             assert apexes == n
 
     def test_hexagon_does_not_peel(self):
-        core, apexes = pyramid_peel(fixture("P1"))
-        assert apexes == 0
-        assert core == fixture("P1")
+        p = fixture("P1")
+        core, apexes = pyramid_peel(p)
+        assert core is p and apexes == 0
+
+    def test_agrees_with_the_stepwise_peel(self):
+        from polyclass import all_01_polytopes
+        for p in list(all_01_polytopes(3)) + [p for _, p in named_corpus()]:
+            assert pyramid_peel(p) == pyramid_peel_stepwise(p), p.vertices
+
+    @settings(deadline=None, max_examples=100)
+    @given(pyramids_and_products())
+    def test_agrees_with_the_stepwise_peel_on_pyramids_and_products(self, p):
+        assert pyramid_peel(p) == pyramid_peel_stepwise(p), p.vertices
 
     def test_peel_preserves_group_presentation(self):
         for base in pyramid_invariance_bases(20):
@@ -394,6 +457,13 @@ class TestProductDecomposition:
         with pytest.raises(ValueError):
             product_decompose_01(dilate(simplex(1), 2))
 
+    def test_product_of_two_nine_simplices(self):
+        assert product_decompose_01(product(simplex(9), simplex(9))) == [simplex(9)] * 2
+
+    def test_segment_in_r20_is_indecomposable(self):
+        p = Polytope([(0,) * 20, (1,) * 20])
+        assert product_decompose_01(p) == [p]
+
     def test_vertex_counts_multiply(self):
         for p in (cube(4), product(simplex(2), simplex(1)), fixture("EX38")):
             factors = product_decompose_01(p)
@@ -423,6 +493,10 @@ class TestSegreClassification:
     def test_two_triangles(self):
         c = classify_segre(product(simplex(2), simplex(2)))
         assert (c.tag, c.simplex_dims) == ("SEGRE", (2, 2))
+
+    def test_two_nine_simplices(self):
+        c = classify_segre(product(simplex(9), simplex(9)))
+        assert (c.tag, c.simplex_dims, c.apex_count) == ("SEGRE", (9, 9), 0)
 
     def test_cube_has_too_many_facets(self):
         c = classify_segre(cube(3))
