@@ -29,7 +29,8 @@ This module decides the properties the class-group machinery feeds on:
   dim + 2 facets is, up to polynomial extension, a product of two
   simplices (toric ring a Segre product of two polynomial rings),
 * ``verify_family`` -- runs the battery of implications above over a
-  family and reports counterexamples.
+  family and reports counterexamples; ``polytope_checks`` runs
+  ``is_normal`` only on a polytope where a verdict reads its value.
 """
 
 from __future__ import annotations
@@ -80,10 +81,15 @@ def _solve_last(eqs: list[Sequence[int]], n: int) -> dict[int, list[int]]:
 
     Primitive row j ends at j and is zero at the other solved coordinates:
     the reduced echelon form of ``eqs`` from the right, by one Bareiss
-    elimination on reversed columns and back-substitution, in int.
+    elimination on reversed columns and back-substitution, in int.  One
+    equation needs neither: its row divided by its gcd is the solution.
     """
     if not eqs:
         return {}
+    if len(eqs) == 1:
+        a = eqs[0]
+        g = gcd(*a)
+        return {max(j for j, x in enumerate(a) if x): [u // g for u in a]} if g else {}
     ech, cols, _ = _echelon_int([a[::-1] for a in eqs], n)
     solved: dict[int, list[int]] = {}
     for r, c in zip(reversed(ech), reversed(cols)):
@@ -521,12 +527,23 @@ def polytope_checks(p: Polytope) -> dict[str, Verdict]:
 
     Returns True/False per check, or None when the check does not apply
     (the last two are statements about (0,1)-polytopes only).
+
+    ``is_normal`` runs only where a verdict reads its value: on a
+    torsionfree P that is compressed (``compressed_normal_torsionfree``)
+    or is a (0,1)-polytope with at most dim + 2 facets (the last two; a
+    group Z means dim + 2 facets, as ``class_group`` checks that the class
+    matrix has rank dim + 1).  Elsewhere the other operands of each formula
+    decide it, so ``norm`` is False there and every verdict keeps the value
+    it has for either normality.  No verdict infers normality from
+    compressedness: a compressed, torsionfree P is still tested, so
+    ``compressed_normal_torsionfree`` checks the paper's claim.
     """
     cg = class_group(p)
     chain = k_number(p)
-    norm = is_normal(p)
     comp = is_compressed(p)
     tf = cg.is_torsionfree
+    nfacets = len(p.facets)
+    norm = tf and (comp or (p.is_01 and nfacets <= p.dim + 2)) and is_normal(p)
     res: dict[str, Verdict] = {
         "unit_chain_factors_one": all(s == 1 for s in cg.full_factors[:chain.k]),
         "chain_length_bound": chain.k <= p.dim + 1,
@@ -534,7 +551,6 @@ def polytope_checks(p: Polytope) -> dict[str, Verdict]:
         "compressed_normal_torsionfree": not comp or (norm and tf),
     }
     if p.is_01:
-        nfacets = len(p.facets)
         class_z = cg.free_rank == 1 and tf
         res["facet_count_iff_class_z"] = (nfacets == p.dim + 2) == (norm and class_z)
         res["few_facets_normal_torsionfree"] = nfacets > p.dim + 2 or (norm and tf)

@@ -9,10 +9,12 @@ point counts by Pick's theorem, normality by the level test at every height
 below the dimension, coordinate products by trying every coordinate subset,
 pyramid peels one apex at a time, facet values form by form and point by
 point, unit chains by a search over every ordered sequence, reports by the
-stdlib's JSON encoder.  None of it shares code with the polyclass
-internals, except that the normality level test takes the points of h*P
-from the library's slicing walk, the stepwise peel reads the library's
-facet rows, and the facet values start from the library's facet forms.
+stdlib's JSON encoder, the check battery with normality decided on every
+polytope.  None of it shares code with the polyclass internals, except
+that the normality level test takes the points of h*P from the library's
+slicing walk, the stepwise peel reads the library's facet rows, the facet
+values start from the library's facet forms, and the eager battery calls
+the library's predicates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from polyclass import IntMatrix, Polytope
+from polyclass import IntMatrix, Polytope, class_group, is_compressed, is_normal, k_number
 
 
 def det_by_permutations(rows: list[list[int]]) -> int:
@@ -404,3 +406,27 @@ def order_hull_2d(points: set[tuple[int, int]]) -> list[tuple[int, int]]:
 def json_report_by_stdlib(doc) -> str:
     """The ``analyze --json`` bytes of a report dict, by the stdlib encoder."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def polytope_checks_eager(p) -> dict[str, bool | None]:
+    """``polytope_checks`` with ``is_normal`` run on every polytope, whatever the verdicts read."""
+    cg = class_group(p)
+    chain = k_number(p)
+    norm = is_normal(p)
+    comp = is_compressed(p)
+    tf = cg.is_torsionfree
+    res = {
+        "unit_chain_factors_one": all(s == 1 for s in cg.full_factors[:chain.k]),
+        "chain_length_bound": chain.k <= p.dim + 1,
+        "full_chain_torsionfree": chain.k < p.dim + 1 or tf,
+        "compressed_normal_torsionfree": not comp or (norm and tf),
+    }
+    if p.is_01:
+        nfacets = len(p.facets)
+        class_z = cg.free_rank == 1 and tf
+        res["facet_count_iff_class_z"] = (nfacets == p.dim + 2) == (norm and class_z)
+        res["few_facets_normal_torsionfree"] = nfacets > p.dim + 2 or (norm and tf)
+    else:
+        res["facet_count_iff_class_z"] = None
+        res["few_facets_normal_torsionfree"] = None
+    return res

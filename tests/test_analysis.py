@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +38,8 @@ from polyclass import (
 from polyclass import analysis
 from polyclass.analysis import CheckOutcome
 from oracles import (coordinate_blocks_by_subsets, facet_rows_by_forms, is_normal_by_levels,
-                     pivot_columns, pyramid_peel_stepwise, unit_chain_length_by_search)
+                     pivot_columns, polytope_checks_eager, pyramid_peel_stepwise,
+                     unit_chain_length_by_search)
 from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, complete_bipartite,
                      named_corpus, pyramid_invariance_bases)
 from test_invariance import unimodular_image, unimodular_images
@@ -302,6 +306,48 @@ class TestCoordinateBlocks:
             self.check(edge_polytope(complete_bipartite(m, n)))
 
 
+class TestSolveLast:
+    """One equation is solved without elimination, exactly as the elimination solves it."""
+
+    @staticmethod
+    def check(a, n: int) -> None:
+        # A repeated equation takes the elimination path: its copy reduces to zero.
+        assert analysis._solve_last([a], n) == analysis._solve_last([a, a], n), a
+
+    def test_random_rows(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            b = [rng.randint(-4, 4) for _ in range(n)]
+            last = max((j for j, x in enumerate(b) if x), default=None)
+            if last is None:
+                continue
+            g = gcd(*b)
+            b = [u // g for u in b]
+            k = rng.choice([-6, -3, -2, -1, 1, 2, 5])
+            a = tuple(k * u for u in b)
+            self.check(a, n)
+            # Primitive, with the orientation of the input row.
+            assert analysis._solve_last([a], n) == {last: b if k > 0 else [-u for u in b]}
+
+    def test_one_apex_systems(self):
+        # The equations of _normal_height_bound on a full-dimensional P with one apex.
+        from polyclass import all_01_polytopes
+        polys = list(all_01_polytopes(3))
+        for seed in range(3):
+            polys += random_01_polytopes(4, 100, seed=seed)
+        rows = []
+        for p in polys:
+            apexes = analysis._apexes(p)
+            if len(apexes) == 1 and not p.affine_hull_forms:
+                rows.append(p.facets[next(iter(apexes))].int_form[0])
+        for a in rows:
+            self.check(a, len(a))
+        # 48 in the sweep and 32 in the samples; 35 end in a negative coefficient.
+        negative = [a for a in rows if a[max(j for j, x in enumerate(a) if x)] < 0]
+        assert (len(rows), len(negative)) == (80, 35)
+
+
 class TestUnitChains:
     def test_hexagon_reaches_three(self):
         chain = k_number(fixture("P1"))
@@ -549,6 +595,81 @@ class TestChecks:
         assert checks["facet_count_iff_class_z"] is None
         assert checks["few_facets_normal_torsionfree"] is None
         assert checks["unit_chain_factors_one"] is True
+
+
+class TestLazyNormality:
+    """polytope_checks runs is_normal only where a verdict reads it, with the eager verdicts."""
+
+    @staticmethod
+    def assert_eager(polys) -> int:
+        count = 0
+        for p in polys:
+            assert polytope_checks(p) == polytope_checks_eager(p), p.vertices
+            count += 1
+        return count
+
+    def test_fixtures_and_named_corpus(self):
+        assert self.assert_eager(p for _, p in named_corpus()) == len(named_corpus())
+
+    def test_threedim_sweep(self):
+        from polyclass import all_01_polytopes
+        assert self.assert_eager(all_01_polytopes(3)) == 151
+
+    def test_deep_corpus(self):
+        polys = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+        assert self.assert_eager(polys) == len(polys)
+        skipped = [p for p in polys if not p.is_01]
+        assert skipped and all(polytope_checks(p)["facet_count_iff_class_z"] is None
+                               for p in skipped)
+
+    def test_wide_pool(self):
+        assert self.assert_eager(Polytope(v) for v in benchmark_workloads().wide_pool(0)) == 63
+
+    def test_fourdim_samples(self):
+        for seed in range(4):
+            assert self.assert_eager(random_01_polytopes(4, 100, seed=seed)) == 100
+
+    @staticmethod
+    def spy_on_is_normal(monkeypatch) -> list[Polytope]:
+        """The list that each call of ``analysis.is_normal`` appends its polytope to."""
+        calls = []
+        real = analysis.is_normal
+        monkeypatch.setattr(analysis, "is_normal", lambda p: calls.append(p) or real(p))
+        return calls
+
+    def test_normality_runs_where_a_verdict_reads_it(self, monkeypatch):
+        from polyclass import all_01_polytopes
+        calls = self.spy_on_is_normal(monkeypatch)
+        tested = spared = 0
+        for p in all_01_polytopes(3):
+            calls.clear()
+            polytope_checks(p)
+            cg = class_group(p)
+            if is_compressed(p) and cg.is_torsionfree:
+                # compressed_normal_torsionfree reads the test, not compressedness.
+                assert calls == [p], p.vertices
+                tested += 1
+            elif len(p.facets) > p.dim + 2 and cg.free_rank != 1:
+                assert calls == [], p.vertices
+                spared += 1
+        assert (tested, spared) == (123, 28)
+
+    def test_the_01_checks_read_normality_without_compressedness(self, monkeypatch):
+        # Every sweep member with at most dim + 2 facets is compressed, so hide
+        # that: the facet-count checks must still ask for normality on their own.
+        from polyclass import all_01_polytopes
+        calls = self.spy_on_is_normal(monkeypatch)
+        monkeypatch.setattr(analysis, "is_compressed", lambda p: False)
+        few = 0
+        for p in all_01_polytopes(3):
+            calls.clear()
+            polytope_checks(p)
+            if len(p.facets) <= p.dim + 2:
+                assert calls == [p], p.vertices
+                few += 1
+            else:
+                assert calls == [], p.vertices
+        assert few == 118
 
 
 class TestVerifyFamily:

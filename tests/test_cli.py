@@ -275,6 +275,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "verified 5 polytope(s)" in out
 
+    def test_exhaustive_three_dimensional_table(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dim", "3", "--exhaustive")
+        assert code == 0
+        assert out == (
+            "verified 151 polytope(s)\n"
+            "check                             pass   fail   skip\n"
+            "unit_chain_factors_one             151      0      0\n"
+            "chain_length_bound                 151      0      0\n"
+            "full_chain_torsionfree             151      0      0\n"
+            "compressed_normal_torsionfree      151      0      0\n"
+            "facet_count_iff_class_z            151      0      0\n"
+            "few_facets_normal_torsionfree      151      0      0\n"
+            "result: OK\n")
+
     def test_sampled_run_is_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--dim", "3", "--samples", "12", "--seed", "7")
         code2, out2, _ = run(capsys, "verify", "--dim", "3", "--samples", "12", "--seed", "7")
