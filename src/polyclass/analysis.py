@@ -80,26 +80,14 @@ def _solve_last(eqs: list[Sequence[int]], n: int) -> dict[int, list[int]]:
     """Linear equations solved for their last coordinates: {coordinate j: row}.
 
     Primitive row j ends at j and is zero at the other solved coordinates:
-    the reduced echelon form of ``eqs`` from the right, by one Bareiss
-    elimination on reversed columns and back-substitution, in int.  One
-    equation needs neither: its row divided by its gcd is the solution.
+    a row of the reduced echelon form of ``eqs`` from the right, which
+    :func:`_echelon_int` gives on reversed columns, reversed back.
     """
-    if not eqs:
-        return {}
-    if len(eqs) == 1:
-        a = eqs[0]
-        g = gcd(*a)
-        return {max(j for j, x in enumerate(a) if x): [u // g for u in a]} if g else {}
     ech, cols, _ = _echelon_int([a[::-1] for a in eqs], n)
     solved: dict[int, list[int]] = {}
-    for r, c in zip(reversed(ech), reversed(cols)):
-        row = r[::-1]
-        for j, s in solved.items():
-            x = row[j]
-            if x:
-                row = [u * s[j] - x * v for u, v in zip(row, s)]
-        g = gcd(*row)
-        solved[n - 1 - c] = [u // g for u in row]
+    for r, c in zip(ech, cols):
+        g = gcd(*r)
+        solved[n - 1 - c] = [u // g for u in reversed(r)]
     return solved
 
 

@@ -13,6 +13,10 @@ package is built on:
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
   by the rows, plus a membership test,
 * ``int_kernel_basis`` -- a primitive integer basis of the right null space.
+
+``_echelon_int``, a fraction-free reduced echelon form, is the one rational
+elimination: ranks and minors read its pivots, and kernels, the hull's start
+rays (``_adjugate_rays``) and ``analysis._solve_last`` read its rows.
 """
 
 from __future__ import annotations
@@ -191,11 +195,15 @@ def gcd_minors(m: IntMatrix, i: int) -> int:
 
 
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+    """Fraction-free (Bareiss) reduced row echelon form of an integer matrix.
 
     Returns ``(echelon_rows, pivot_cols, pivot_rows)``, pivot_rows being
-    the (independent) input rows the pivots came from; all arithmetic
-    stays in int, the interior divisions are exact.
+    the (independent) input rows the pivots came from.  Each step clears
+    its pivot column in every other row, above and below, with the same
+    exact division by the previous pivot (Bareiss 1968); a row with 0
+    there is kept as it is when piv == prev.  So each pivot column is zero
+    outside its own row, every pivot entry equals the last pivot D, +-det
+    of the pivot minor, and all arithmetic stays in int.
     """
     m = [list(r) for r in rows]
     order = list(range(len(m)))
@@ -213,14 +221,14 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
         if sel != r:
             m[r], m[sel] = m[sel], m[r]
             order[r], order[sel] = order[sel], order[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-            row_i[c] = 0
+        row_r = m[r]
+        piv = row_r[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i == r or not f and piv == prev:
+                continue
+            for j in range(c if i > r else 0, ncols):  # rows below are 0 left of c
+                row[j] = (row[j] * piv - f * row_r[j]) // prev
         prev = piv
         pivot_cols.append(c)
         r += 1
@@ -255,8 +263,9 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     the null space as a Q-vector space, not necessarily of the integer
     kernel lattice, which is all the geometry code needs.)
 
-    Solving for a pivot scales the whole vector by just enough of the
-    pivot entry to keep the back-substitution in integers.
+    Read off the reduced form of :func:`_echelon_int`, whose pivot entries
+    all equal D: the vector of free column f is D at f, minus each row's
+    entry f at that row's pivot, and 0 at the other free columns.
 
     >>> int_kernel_basis([[1, 1]], 2)
     [(1, -1)]
@@ -264,25 +273,16 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     []
     """
     ech, pivot_cols, _ = _echelon_int(rows, ncols)
+    d = ech[-1][pivot_cols[-1]] if ech else 1
     pivset = set(pivot_cols)
     basis: list[tuple[int, ...]] = []
     for f in range(ncols):
         if f in pivset:
             continue
         x = [0] * ncols
-        x[f] = 1
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            row = ech[i]
-            s = 0
-            for j in range(c + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            g = gcd(s, row[c])
-            scale = row[c] // g
-            if scale != 1:
-                x = [v * scale for v in x]
-            x[c] = -s // g
+        x[f] = d
+        for row, c in zip(ech, pivot_cols):
+            x[c] = -row[f]
         vec = _primitive(x)
         if next(v for v in vec if v) < 0:
             vec = tuple([-v for v in vec])
@@ -293,32 +293,18 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
 def _adjugate_rays(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Ray i of an invertible square B: primitive, zero on its other rows, > 0 on row i.
 
-    A fraction-free Gauss-Jordan pass, swapping rows at a zero pivot,
-    turns [B | I] into [D*I | D*B^-1]; ray i is column i of D*B^-1 (a
-    signed adj(B)), made primitive with the sign of D.  Each column of B
-    is dropped once cleared, and a row with 0 in it is kept as it is
-    when the step would only scale it by piv/prev = 1.
+    The reduced form of [B^T | I] (:func:`_echelon_int`) is
+    [D*I | D*B^-T]; ray i is the right block of row i, column i of
+    D*B^-1 (a signed adj(B)), made primitive with the sign of D.
 
     >>> _adjugate_rays([[0, 1], [2, 1]])
     [(-1, 2), (1, 0)]
     """
     n = len(b)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
-    prev = 1
-    for c in range(n):
-        sel = next(i for i in range(c, n) if m[i][0])
-        m[c], m[sel] = m[sel], m[c]
-        piv = m[c][0]
-        tail = m[c][1:]
-        for i, row in enumerate(m):
-            f = row[0]
-            if i == c or not f and piv == prev:
-                m[i] = row[1:]
-            else:
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(row[1:], tail)]
-        prev = piv
-    sign = 1 if prev > 0 else -1
-    return [_primitive([sign * row[i] for row in m]) for i in range(n)]
+    ech, _, _ = _echelon_int(
+        [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*b))], 2 * n)
+    sign = 1 if ech[0][0] > 0 else -1
+    return [_primitive([sign * x for x in row[n:]]) for row in ech]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -359,10 +359,11 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     the k+1 rows it pivots on are a start simplex.  In Q^k the facets
     are the extreme rays of the cone of forms y with <y, (x, 1)> >= 0 on
     every point x, found by Motzkin's double description (Fukuda &
-    Prodon 1996): start from the cone of the simplex, whose rays are the
-    adjugate's columns, add the other points one at a time, and join a
-    ray on its positive side with one on its negative side when the
-    combinatorial test finds them adjacent.  The extreme rays do not
+    Prodon 1996): start from the cone of the simplex, whose rays are
+    read off the reduced echelon form of [B^T | I], B the simplex's rows
+    (:func:`_adjugate_rays`), add the other points one at a time, and
+    join a ray on its positive side with one on its negative side when
+    the combinatorial test finds them adjacent.  The extreme rays do not
     depend on the start.  Rays are primitive; zero sets are bitmasks
     over point indices.
 

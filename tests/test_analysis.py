@@ -159,6 +159,29 @@ class TestPackedNormality:
             assert (analysis._level_key(q, top)[2] > analysis._DENSE_LEVEL_BITS) == sparse
             assert is_normal(q) == is_normal_bruteforce(q)
 
+    @staticmethod
+    def assert_keyed_on_pivot_coordinates(p: Polytope) -> None:
+        # is_normal's docstring: the key digits are the pivot coordinates of
+        # the echelon form of the rows (1, v), v a vertex, after the first;
+        # _level_key keys the coordinates that _solve_last leaves free.
+        keyed = {j for j, w in enumerate(analysis._level_key(p, 2)[0]) if w}
+        cols = pivot_columns([[1, *v] for v in p.vertices], p.ambient_dim + 1)
+        assert keyed == {c - 1 for c in cols[1:]}, p.vertices
+
+    def test_key_digits_are_the_pivot_coordinates(self):
+        from polyclass import all_01_polytopes
+        sweep = list(all_01_polytopes(3))
+        deep = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+        assert len(sweep) == 151
+        for p in [p for _, p in named_corpus()] + sweep + deep:
+            self.assert_keyed_on_pivot_coordinates(p)
+
+    @settings(deadline=None, max_examples=150)
+    @given(unimodular_images())
+    def test_key_digits_are_the_pivot_coordinates_of_embedded_images(self, pair):
+        for p in pair:
+            self.assert_keyed_on_pivot_coordinates(p)
+
     def test_benchmark_inputs_key_into_dense_levels(self):
         # The key runs over the pivot coordinates of the affine hull, not
         # the ambient ones: B3 is keyed on 4 of its 9 coordinates.
@@ -307,11 +330,11 @@ class TestCoordinateBlocks:
 
 
 class TestSolveLast:
-    """One equation is solved without elimination, exactly as the elimination solves it."""
+    """One equation is solved as its row made primitive, with or without a repeated copy."""
 
     @staticmethod
     def check(a, n: int) -> None:
-        # A repeated equation takes the elimination path: its copy reduces to zero.
+        # The reduced form clears the copy to zero and keeps the first row as it is.
         assert analysis._solve_last([a], n) == analysis._solve_last([a, a], n), a
 
     def test_random_rows(self):
@@ -331,7 +354,7 @@ class TestSolveLast:
             assert analysis._solve_last([a], n) == {last: b if k > 0 else [-u for u in b]}
 
     def test_one_apex_systems(self):
-        # The equations of _normal_height_bound on a full-dimensional P with one apex.
+        # The one equation _normal_height_bound solves on a full-dimensional P with one apex.
         from polyclass import all_01_polytopes
         polys = list(all_01_polytopes(3))
         for seed in range(3):

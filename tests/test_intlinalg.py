@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -69,8 +70,10 @@ def invertible_matrices(draw, max_n=7, bound=3):
 
 
 def test_module_doctests_pass():
-    failures, _ = doctest.testmod(intlinalg)
+    # 11 examples: snf, gcd_minors, rank, int_kernel_basis, _adjugate_rays, hnf_row_lattice.
+    failures, attempted = doctest.testmod(intlinalg)
     assert failures == 0
+    assert attempted >= 11
 
 
 class TestIntMatrix:
@@ -198,6 +201,40 @@ class TestGcdMinors:
             for i, s in enumerate(res.invariant_factors, start=1):
                 g *= s
                 assert gcd_minors(m, i) == g
+
+
+@st.composite
+def zero_column_matrices(draw, max_rows=6, max_cols=6):
+    """``int_matrices`` with a drawn set of columns set to zero."""
+    m = draw(int_matrices(max_rows, max_cols))
+    zero = draw(st.sets(st.integers(0, m.cols - 1)))
+    return IntMatrix.from_rows([[0 if j in zero else x for j, x in enumerate(row)]
+                                for row in m.entries])
+
+
+class TestEchelon:
+    """``_echelon_int`` is a fraction-free reduced row echelon form."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(int_matrices() | low_rank_matrices(max_rows=6, max_cols=6) | zero_column_matrices())
+    @example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+    @example(IntMatrix.from_rows([[0, 2, 4], [0, 1, 2], [0, 3, 7]]))
+    def test_matches_rational_reduced_form(self, m):
+        rows = [list(r) for r in m.entries]
+        ech, cols, src = intlinalg._echelon_int(m.entries, m.cols)
+        ref, ref_cols = oracles.reduced_row_echelon(rows, m.cols)
+        assert cols == ref_cols
+        assert len(ech) == len(src) == len(cols)
+        if not cols:
+            return
+        d = ech[-1][cols[-1]]
+        # D is +-det of the pivot minor, and that is nonzero: the pivot rows
+        # are independent input rows.
+        minor = [[rows[i][c] for c in cols] for i in src]
+        assert abs(d) == abs(oracles.det_by_permutations(minor)) > 0
+        for row, c, want in zip(ech, cols, ref):
+            assert row[c] == d
+            assert [Fraction(x, d) for x in row] == want
 
 
 class TestRank:
