@@ -16,7 +16,8 @@ package is built on:
 
 ``_echelon_int``, a fraction-free reduced echelon form, is the one rational
 elimination: ranks and minors read its pivots, and kernels, the hull's start
-rays (``_adjugate_rays``) and ``analysis._solve_last`` read its rows.
+rays (``_adjugate_rays``) and ``analysis._solve_last`` read its rows; the
+hull reads its affine hull off its points' form, through the kernel reader.
 """
 
 from __future__ import annotations
@@ -272,7 +273,12 @@ def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     >>> int_kernel_basis([[1, 0], [0, 1]], 2)
     []
     """
-    ech, pivot_cols, _ = _echelon_int(rows, ncols)
+    return _kernel_of_echelon(*_echelon_int(rows, ncols)[:2], ncols)
+
+
+def _kernel_of_echelon(ech: Sequence[Sequence[int]], pivot_cols: Sequence[int],
+                       ncols: int) -> list[tuple[int, ...]]:
+    """:func:`int_kernel_basis` of the rows :func:`_echelon_int` reduced to ``ech``."""
     d = ech[-1][pivot_cols[-1]] if ech else 1
     pivset = set(pivot_cols)
     basis: list[tuple[int, ...]] = []

@@ -17,10 +17,11 @@ the pyramid tests all read.
 
 Facets come from an exact integer double description of the cone of
 valid forms, in coordinates where the points span their affine hull.
-One elimination finds those coordinates and a start simplex, and the
-adjugate of the simplex gives the start rays.
-Each facet's form is the one the lex-first scan over dim-sized point
-subsets would reach, so the forms do not depend on the method.  Vertices
+One elimination of the rows (v, 1) finds those coordinates, the affine
+hull equations and a start simplex; the simplex's adjugate gives the
+start rays.  Each facet's form is its ray on those coordinates, 0 on the
+others: the one the lex-first scan over dim-sized point subsets would
+reach, so the forms do not depend on the method.  Vertices
 are read off the facet incidences.  The lattice points of P and of its
 dilations h*P are enumerated by slicing, in lex order: each coordinate
 ranges over the integers the hull of the vertices projected onto the
@@ -42,14 +43,13 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvariantViolation
 from .intlinalg import (
     IntMatrix,
     _adjugate_rays,
     _echelon_int,
+    _kernel_of_echelon,
     _primitive,
     hnf_row_lattice,
-    int_kernel_basis,
 )
 
 Point = tuple[int, ...]
@@ -354,34 +354,36 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     tuple of indices of the points it vanishes on (non-vertex points
     included), in order of those tuples.
 
-    One Bareiss elimination of the rows (1, x): projecting onto its pivot
-    columns after the first, k coordinates, maps aff(P) onto Q^k, and
-    the k+1 rows it pivots on are a start simplex.  In Q^k the facets
-    are the extreme rays of the cone of forms y with <y, (x, 1)> >= 0 on
-    every point x, found by Motzkin's double description (Fukuda &
-    Prodon 1996): start from the cone of the simplex, whose rays are
-    read off the reduced echelon form of [B^T | I], B the simplex's rows
-    (:func:`_adjugate_rays`), add the other points one at a time, and
-    join a ray on its positive side with one on its negative side when
-    the combinatorial test finds them adjacent.  The extreme rays do not
-    depend on the start.  Rays are primitive; zero sets are bitmasks
-    over point indices.
+    One Bareiss elimination of the rows (x, 1), constant column last,
+    holds the affine hull as its kernel.  Its k + 1 pivot columns ``cols``
+    are independent on the points and span the others there, so forms on
+    ``cols`` are the affine functions on aff(P), and the rows it pivots on
+    are a start simplex.  The facets are the extreme rays of the cone of
+    forms y on ``cols`` with <y, row> >= 0 on every point, found by
+    Motzkin's double description (Fukuda & Prodon 1996): start from the
+    simplex's cone, whose rays are read off the reduced echelon form of
+    [B^T | I], B the simplex's rows (:func:`_adjugate_rays`), add the
+    other points one at a time, and join a ray on its positive side with
+    one on its negative side when the combinatorial test finds them
+    adjacent.  The extreme rays do not depend on the start.  Rays are
+    primitive; zero sets are bitmasks over point indices.
 
-    Each facet's form is the one a scan over k-subsets of the points
-    would find: for k = d the ray itself, the unique primitive form; else
-    the spanning form of the facet's points, which is the same for every
-    spanning subset of them.
+    Each facet's form is its ray on ``cols``, 0 elsewhere: the first
+    kernel vector of the facet's rows (p, 1) that does not vanish on every
+    point, oriented >= 0.  For the facet's pivot columns are ``cols`` less
+    one column e (a column that depends on those left of it on all points
+    does so on the facet).  A free f < e is outside ``cols``: its vector is
+    the relation writing column f through ``cols`` left of it on every
+    point, so it vanishes on all of them; the vector of e is supported in
+    ``cols``, independent on the points, so it does not: it is the ray.
     """
-    _, cols, base = _echelon_int([(1,) + v for v in verts], d + 1)
-    pivots = [c - 1 for c in cols[1:]]
-    k = len(pivots)
-    aff = []
-    if k < d:
-        aff = [(vec[:d], vec[d]) for vec in int_kernel_basis(
-            [v + (1,) for v in verts], d + 1)]
+    homog = [v + (1,) for v in verts]
+    ech, cols, base = _echelon_int(homog, d + 1)
+    aff = [(vec[:d], vec[d]) for vec in _kernel_of_echelon(ech, cols, d + 1)]
+    k = len(cols) - 1
     if k == 0:
         return aff, []
-    rows = [tuple([v[c] for c in pivots] + [1]) for v in verts]
+    rows = homog if k == d else [tuple([x[c] for c in cols]) for x in homog]
     simplex = sum(1 << b for b in base)
     rays = [(ray, simplex ^ 1 << b) for ray, b in zip(
         _adjugate_rays([rows[b] for b in base]), base)]
@@ -408,14 +410,12 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
         rays = kept
     facets = []
     for ray, zs in rays:
-        on = tuple([i for i in range(len(verts)) if zs >> i & 1])
-        if k == d:
-            form = (ray[:d], ray[d])
-        else:
-            form = _spanning_form_general([verts[i] for i in on], verts, d)
-            if any(_eval_form(form, v) < 0 for v in verts):
-                form = (tuple([-c for c in form[0]]), -form[1])
-        facets.append((form, on))
+        if k < d:
+            form = [0] * (d + 1)
+            for c, x in zip(cols, ray):
+                form[c] = x
+            ray = tuple(form)
+        facets.append(((ray[:d], ray[d]), tuple([i for i in range(len(verts)) if zs >> i & 1])))
     return aff, sorted(facets, key=lambda fc: fc[1])
 
 
@@ -452,22 +452,6 @@ def _prefix_bounds(proj: tuple[Point, ...]) -> tuple[tuple, tuple]:
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
-
-
-def _spanning_form_general(pts: list[Point], verts: tuple[Point, ...], d: int) -> Form:
-    """Form vanishing on the points of a facet of a lower-dimensional hull.
-
-    The kernel of the stacked rows (p, 1) holds the affine hull equations
-    and one more form; the first kernel basis vector not vanishing on
-    every point of ``verts`` represents the facet's hyperplane.  The
-    basis depends only on the row space, so any spanning subset of the
-    facet's points gives the same form.
-    """
-    for vec in int_kernel_basis([p + (1,) for p in pts], d + 1):
-        form = (vec[:d], vec[d])
-        if any(_eval_form(form, v) for v in verts):
-            return form
-    raise InvariantViolation("points do not span a facet hyperplane")
 
 
 def _vertex_flags(n: int, cands) -> list[bool]:

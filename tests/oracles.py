@@ -136,8 +136,10 @@ def hull_facets_by_subsets(points: list[tuple[int, ...]]):
     Returns a list, sorted by index tuple, of (on, values, form): ``on``
     the sorted indices of the points on the facet, ``values`` the
     primitive nonnegative values of the facet on all points, and ``form``
-    the primitive integer form (a, b), nonnegative on the points, when
-    they are full-dimensional, None otherwise.
+    the primitive integer form (a, b), nonnegative on the points.  When
+    the points are full-dimensional that is the cross product; else it is
+    the first kernel vector of the facet's rows (p, 1) that does not
+    vanish on every point.
     """
     n, d = len(points), len(points[0])
     diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
@@ -165,8 +167,25 @@ def hull_facets_by_subsets(points: list[tuple[int, ...]]):
         found.append(set(on))
         facets[on] = (tuple(sign * v // g_vals for v in vals),
                       (tuple(sign * c // g_form for c in form[:d]), sign * form[d] // g_form)
-                      if k == d else None)
+                      if k == d else facet_form_by_kernel(points, on))
     return sorted((on, vals, form) for on, (vals, form) in facets.items())
+
+
+def facet_form_by_kernel(points: list[tuple[int, ...]], on: tuple[int, ...]):
+    """The first kernel vector of the facet's rows (p, 1) not vanishing on every point.
+
+    ``on`` indexes the points of the facet.  The vector, a primitive form
+    (a, b) by :func:`kernel_basis_by_elimination`, is oriented >= 0 on the
+    points.  It depends only on the facet's affine span, so any points
+    spanning the facet give it.
+    """
+    d = len(points[0])
+    homog = [list(p) + [1] for p in points]
+    for vec in kernel_basis_by_elimination([homog[i] for i in on], d + 1):
+        vals = [sum(a * x for a, x in zip(vec, row)) for row in homog]
+        if any(vals):
+            sign = 1 if max(vals) > 0 else -1
+            return tuple(sign * c for c in vec[:d]), sign * vec[d]
 
 
 def hull_vertices_by_rank(points: list[tuple[int, ...]], facets) -> list[tuple[int, ...]]:

@@ -50,10 +50,9 @@ def assert_hull_matches_oracle(points) -> Polytope:
     assert [zeros_and_values(form, p.vertices) for form, _ in facets] == \
         [(on, vals) for on, vals, _ in ref]
     assert [vset for _, vset in facets] == [on for on, _, _ in ref]
-    if p.dim == p.ambient_dim:
-        # FacetData.int_form is this form; p.facets would also evaluate it
-        # on every lattice point.
-        assert [form for form, _ in facets] == [form for _, _, form in ref]
+    # FacetData.int_form is this form; p.facets would also evaluate it on
+    # every lattice point.
+    assert [form for form, _ in facets] == [form for _, _, form in ref]
     return p
 
 
@@ -105,12 +104,12 @@ class TestHullOracle:
         assert p == Polytope(square)
 
     def test_start_simplex_of_non_vertices(self):
-        # The square [0,2]^2 with its edge midpoints and centre: the
-        # lex-first affinely independent points (0, 0), (0, 1), (1, 0) hold
-        # two midpoints, and the start simplex the hull pivots on holds one.
+        # The square [0,2]^2 with its edge midpoints and centre: the start
+        # simplex the hull pivots on, (1, 0), (0, 1), (0, 2), holds two
+        # edge midpoints.
         pts = [(x, y) for x in range(3) for y in range(3)]
         corners = [(0, 0), (0, 2), (2, 0), (2, 2)]
-        _, _, base = intlinalg._echelon_int([(1,) + v for v in pts], 3)
+        _, _, base = intlinalg._echelon_int([v + (1,) for v in pts], 3)
         assert any(pts[b] not in corners for b in base)
         assert assert_hull_matches_oracle(pts) == Polytope(corners)
 
@@ -150,6 +149,14 @@ class TestHullOracleProperties:
 
     @settings(deadline=None, max_examples=100)
     @given(embedded_generating_sets())
+    def test_affine_hull_forms_are_the_kernel_of_the_rows_x_1(self, points):
+        d = len(points[0])
+        basis = oracles.kernel_basis_by_elimination([list(x) + [1] for x in points], d + 1)
+        assert Polytope.from_points(points).affine_hull_forms == \
+            tuple((vec[:d], vec[d]) for vec in basis)
+
+    @settings(deadline=None, max_examples=100)
+    @given(embedded_generating_sets())
     def test_from_points_builds_the_hull_of_its_vertices(self, points):
         p = Polytope.from_points(points)
         q = Polytope(p.vertices, p.ambient_dim)
@@ -162,7 +169,7 @@ WIDE_MEMBER = [tuple(map(int, s)) for s in (
 
 
 class TestHullWork:
-    """Eliminations per hull, counted: the start rays need no kernel solve."""
+    """Eliminations per hull, counted: no kernel or facet form is solved apart."""
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -175,19 +182,16 @@ class TestHullWork:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    @pytest.mark.parametrize("make", [lambda: cube(4), lambda: Polytope(WIDE_MEMBER)],
-                             ids=["cube4", "wide-member"])
-    def test_full_dimensional_hull_solves_no_kernel(self, monkeypatch, make):
-        calls = self.count_calls(monkeypatch, polytope, "int_kernel_basis")
-        p = make()
-        assert p.dim == p.ambient_dim
-        assert calls == []
-
-    def test_lower_dimensional_hull_solves_affine_hull_and_facet_forms(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, polytope, "int_kernel_basis")
-        p = birkhoff(3)
-        # One solve for the affine hull equations, one per facet form.
-        assert len(calls) == 1 + len(p._hull[1]) == 10
+    @pytest.mark.parametrize("make", [lambda: cube(4), lambda: Polytope(WIDE_MEMBER),
+                                      lambda: birkhoff(3)],
+                             ids=["cube4", "wide-member", "birkhoff-b3"])
+    def test_hull_runs_two_eliminations(self, monkeypatch, make):
+        # One of the points, which also holds the affine hull and the facet
+        # forms, and one for the start rays, in any dimension.
+        calls = [self.count_calls(monkeypatch, module, "_echelon_int")
+                 for module in (polytope, intlinalg)]
+        make()
+        assert [len(c) for c in calls] == [1, 1]
 
     def test_from_points_runs_one_double_description(self, monkeypatch):
         calls = self.count_calls(monkeypatch, polytope, "_hull_candidates")
