@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Literal, Sequence
 from .classgroup import class_group
 from .errors import InvariantViolation
 from .intlinalg import _echelon_int, in_row_lattice
-from .polytope import Point, Polytope, _eval_form
+from .polytope import Point, Polytope, _dot
 
 Verdict = bool | None
 
@@ -124,8 +124,6 @@ def _coordinate_blocks(eqs: list[Sequence[int]], forms: list[Sequence[int]],
             blocks -= len(joined) - 1
     for j, row in solved.items():
         label[j] = next((label[k] for k in free if row[k]), -1)
-    if blocks == 1:  # the usual case, returned without the grouping below
-        return [([j for j, b in enumerate(label) if b >= 0], len(free))]
     out: dict[int, list[int]] = {}
     for j, b in enumerate(label):
         if b >= 0:
@@ -291,10 +289,10 @@ def is_normal_bruteforce(p: Polytope) -> bool:
 
     def in_scaled(z: Point, h: int) -> bool:
         for a, b in aff:
-            if _eval_form((a, h * b), z) != 0:
+            if _dot(a, z) + h * b != 0:
                 return False
         for a, b in ineqs:
-            if _eval_form((a, h * b), z) < 0:
+            if _dot(a, z) + h * b < 0:
                 return False
         return True
 

@@ -66,9 +66,6 @@ class IntMatrix:
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
                                for j in range(self.cols)))
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
-
 
 @dataclass(frozen=True)
 class SnfResult:

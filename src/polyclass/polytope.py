@@ -28,20 +28,17 @@ ranges over the integers the hull of the vertices projected onto the
 coordinates so far allows, so no point outside h*P is visited and none
 is re-tested against the facets.  A bounded memo keyed by the projected
 points lets the members of a family share those projections' hulls.  All
-arithmetic is on ``int``; only :meth:`Polytope.contains` also takes
-``Fraction`` coordinates.
+arithmetic is on ``int``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, mul
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .intlinalg import (
     IntMatrix,
@@ -57,15 +54,6 @@ Point = tuple[int, ...]
 Form = tuple[tuple[int, ...], int]
 
 
-def _eval_form(form: Form, pt: Sequence[int | Fraction]) -> int | Fraction:
-    a, b = form
-    s = b
-    for c, x in zip(a, pt):
-        if c:
-            s += c * x
-    return s
-
-
 @dataclass(frozen=True)
 class FacetData:
     """One facet: primitive integer form plus its normalized value row.
@@ -74,9 +62,8 @@ class FacetData:
     hyperplane, >= 0 on the parent polytope, and ``divisor`` the gcd of
     its values on the lattice points.  ``row[i]`` is the normalized
     value int_form(points[i]) / divisor at the i-th lattice point of the
-    parent, in its lex order.  ``values`` is the same data as a
-    read-only mapping point -> value, built on first access only.
-    ``vertex_set`` holds indices into the parent's vertex tuple.
+    parent, in its lex order.  ``vertex_set`` holds indices into the
+    parent's vertex tuple.
     """
 
     facet_id: int
@@ -84,11 +71,6 @@ class FacetData:
     row: tuple[int, ...]
     int_form: Form
     divisor: int
-    points: tuple[Point, ...] = field(repr=False)
-
-    @cached_property
-    def values(self) -> Mapping[Point, int]:
-        return MappingProxyType(dict(zip(self.points, self.row)))
 
 
 def _validate_vertices(points: Iterable[Sequence[int]],
@@ -308,19 +290,18 @@ class Polytope:
                 row=tuple(row),
                 int_form=form,
                 divisor=g,
-                points=pts,
             ))
         return tuple(out)
 
-    def contains(self, pt: Sequence[int | Fraction]) -> bool:
-        """Exact membership test for a point with int or Fraction coordinates."""
-        if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in pt):
-            raise TypeError(f"point coordinates must be int or Fraction, got {pt!r}")
+    def contains(self, pt: Sequence[int]) -> bool:
+        """Exact membership test for a point with int coordinates."""
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in pt):
+            raise TypeError(f"point coordinates must be int, got {pt!r}")
         if len(pt) != self.ambient_dim:
             raise ValueError("point dimension mismatch")
         aff, facets = self._hull
-        return (all(_eval_form(form, pt) == 0 for form in aff)
-                and all(_eval_form(form, pt) >= 0 for form, _ in facets))
+        return (all(_dot(a, pt) + b == 0 for a, b in aff)
+                and all(_dot(a, pt) + b >= 0 for (a, b), _ in facets))
 
     def is_simple(self) -> bool:
         """True when every vertex lies on exactly dim facets."""

@@ -27,7 +27,7 @@ from .analysis import (
     validate_unit_chain,
 )
 from .classgroup import ClassGroupPresentation, class_group, class_matrix
-from .polytope import Point, Polytope
+from .polytope import Polytope
 
 MATRIX_PRINT_LIMIT = 40
 

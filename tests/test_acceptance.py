@@ -54,7 +54,8 @@ def test_02_quad_fixture_unit_values(capsys):
     t0 = time.perf_counter()
     p = fixture("P2")
     chain = k_number(p)
-    all_one = all(fd.values[(1, 1)] == 1 for fd in p.facets)
+    center = p.lattice_points.index((1, 1))
+    all_one = all(fd.row[center] == 1 for fd in p.facets)
     ok = chain.k == 1 and len(p.facets) == 4 and all_one
     report(capsys, 2, ok,
            "quad fixture: chain length 1 and the center evaluates to 1 on all 4 facets",
@@ -90,8 +91,7 @@ def test_04_threedim_fixture_facets_and_group(capsys):
         for val in raw:
             g = _gcd(g, val)
         target = tuple(val // g for val in raw)
-        hits = [fd.facet_id for fd in p.facets
-                if tuple(fd.values[v] for v in p.lattice_points) == target]
+        hits = [fd.facet_id for fd in p.facets if fd.row == target]
         if len(hits) == 1:
             matched.add(hits[0])
     cg = class_group(p)

@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from polyclass import IntMatrix, Polytope, cube, dilate, fixture, in_row_lattice, simplex
-from polyclass.polytope import _eval_form
 from support import REEVE_SIMPLEX, SQUARE_PYRAMID
+from test_invariance import unimodular_images
 
 SEGMENT_02 = Polytope([(0,), (2,)])
 
 
-def facet_value_rows(p: Polytope) -> list[tuple[int, ...]]:
-    pts = p.lattice_points
-    return [tuple(fd.values[v] for v in pts) for fd in p.facets]
+def form_value(form, v) -> int:
+    a, b = form
+    return sum(map(mul, a, v)) + b
 
 
 class TestConstruction:
@@ -99,15 +101,14 @@ class TestDimension:
 class TestFacets:
     def test_segment_value_rows(self):
         assert SEGMENT_02.lattice_points == ((0,), (1,), (2,))
-        assert sorted(facet_value_rows(SEGMENT_02)) == [(0, 1, 2), (2, 1, 0)]
+        assert sorted(fd.row for fd in SEGMENT_02.facets) == [(0, 1, 2), (2, 1, 0)]
 
     def test_segment_divisor_normalization(self):
         # both supporting forms take even values on vertices; the gcd
         # normalization divides them back to (0, 1, 2)
         for fd in SEGMENT_02.facets:
-            vals = [fd.values[v] for v in SEGMENT_02.lattice_points]
             g = 0
-            for v in vals:
+            for v in fd.row:
                 g = gcd(g, v)
             assert g == 1
 
@@ -115,10 +116,11 @@ class TestFacets:
         p = fixture("P2")
         assert len(p.facets) == 4
         # every facet evaluates to 1 at the interior point (1, 1)
-        assert all(fd.values[(1, 1)] == 1 for fd in p.facets)
+        center = p.lattice_points.index((1, 1))
+        assert all(fd.row[center] == 1 for fd in p.facets)
         through = next(fd for fd in p.facets
                        if {(1, 0), (0, 1)} <= {p.vertices[i] for i in fd.vertex_set})
-        nonzero = {v for v in through.values.values() if v}
+        nonzero = {v for v in through.row if v}
         assert nonzero == {1, 2}
 
     def test_values_zero_exactly_on_facet(self):
@@ -126,9 +128,9 @@ class TestFacets:
             pts = p.lattice_points
             for fd in p.facets:
                 on_facet = {p.vertices[i] for i in fd.vertex_set}
-                for v in pts:
-                    if fd.values[v] == 0:
-                        assert _eval_form(fd.int_form, v) == fd.divisor * fd.values[v]
+                for v, val in zip(pts, fd.row):
+                    if val == 0:
+                        assert form_value(fd.int_form, v) == 0
                     else:
                         assert v not in on_facet
 
@@ -150,8 +152,7 @@ class TestFacets:
             for val in raw:
                 g = gcd(g, val)
             target = tuple(val // g for val in raw)
-            hits = [fd.facet_id for fd in p.facets
-                    if tuple(fd.values[v] for v in p.lattice_points) == target]
+            hits = [fd.facet_id for fd in p.facets if fd.row == target]
             assert len(hits) == 1
             matched.add(hits[0])
         assert len(matched) == 6
@@ -161,16 +162,15 @@ class TestFacets:
         # lattice points before normalization
         p = Polytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
         assert {fd.divisor for fd in p.facets} == {2}
-        assert sorted(sorted(fd.values[v] for v in p.lattice_points)
-                      for fd in p.facets) == [[0, 0, 0, 1]] * 4
+        assert sorted(sorted(fd.row) for fd in p.facets) == [[0, 0, 0, 1]] * 4
 
     def test_facet_data_consistency(self):
         for p in (fixture("P1"), SQUARE_PYRAMID, cube(2)):
             pts = p.lattice_points
             for fd in p.facets:
-                for v in pts:
-                    assert fd.values[v] >= 0
-                    assert _eval_form(fd.int_form, v) == fd.divisor * fd.values[v]
+                for v, val in zip(pts, fd.row):
+                    assert val >= 0
+                    assert form_value(fd.int_form, v) == fd.divisor * val
 
 
 class TestLatticePoints:
@@ -201,16 +201,17 @@ class TestContains:
     def test_boundary_point(self):
         assert SEGMENT_02.contains((2,))
 
-    def test_rational_points(self):
-        assert cube(2).contains((Fraction(1, 2), Fraction(1, 2)))
-        assert not cube(2).contains((Fraction(3, 2), Fraction(1, 2)))
+    def test_fraction_coordinates_are_refused(self):
+        with pytest.raises(TypeError):
+            cube(2).contains((Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            cube(2).contains((Fraction(1), 0))
 
     def test_float_coordinates_are_refused(self):
         # In float arithmetic this point passes every facet of 3*simplex(3);
         # its exact value lies outside.
         p = Polytope([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
         pt = (2.291323856929842, 0.18076133337767622, 0.5279148096924818)
-        assert not p.contains(tuple(Fraction(x) for x in pt))
         with pytest.raises(TypeError):
             p.contains(pt)
         with pytest.raises(TypeError):
@@ -219,6 +220,21 @@ class TestContains:
     def test_bool_coordinates_are_refused(self):
         with pytest.raises(TypeError):
             cube(2).contains((True, False))
+
+    def test_length_mismatch_is_refused(self):
+        with pytest.raises(ValueError):
+            cube(2).contains((0, 0, 0))
+
+    @settings(deadline=None, max_examples=100)
+    @given(unimodular_images())
+    def test_integer_points_of_a_box_around_the_hull(self, pair):
+        # The images embedded in a larger space are lower-dimensional, so
+        # this exercises the affine hull equations as well as the facets.
+        for p in pair:
+            ranges = [range(min(col) - 1, max(col) + 2) for col in zip(*p.vertices)]
+            inside = set(p.lattice_points)
+            for x in product(*ranges):
+                assert p.contains(x) == (x in inside), x
 
 
 class TestSimplicity:
@@ -312,14 +328,13 @@ class TestPlanarHullProperties:
         assert len(p.facets) == len(p.vertices)
         pts = p.lattice_points
         for fd in p.facets:
-            vals = [fd.values[v] for v in pts]
-            assert min(vals) == 0
+            assert min(fd.row) == 0
             g = 0
-            for v in vals:
+            for v in fd.row:
                 g = gcd(g, v)
             assert g == 1
             # every endpoint of the edge shows up with value zero
-            zero = {v for v in pts if fd.values[v] == 0}
+            zero = {v for v, val in zip(pts, fd.row) if val == 0}
             assert {p.vertices[i] for i in fd.vertex_set} <= zero
 
     @settings(deadline=None, max_examples=60)
