@@ -25,9 +25,9 @@ This module decides the properties the class-group machinery feeds on:
   preserves the class group (all other lattice points on the base),
 * ``product_decompose_01`` -- finest coordinate-block factorization of
   a (0,1)-polytope into a cartesian product, by ``_coordinate_blocks``,
-* ``classify_segre`` -- decides whether a (0,1)-polytope with exactly
-  dim + 2 facets is, up to polynomial extension, a product of two
-  simplices (toric ring a Segre product of two polynomial rings),
+* ``classify_segre`` -- decides from the apexes and core factors of the
+  normality bound whether a (0,1)-polytope with dim + 2 facets is, up to
+  polynomial extension, a product of two simplices (a Segre product),
 * ``verify_family`` -- runs the battery of implications above over a
   family and reports counterexamples; ``polytope_checks`` runs
   ``is_normal`` only on a polytope where a verdict reads its value.
@@ -35,6 +35,7 @@ This module decides the properties the class-group machinery feeds on:
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -131,39 +132,45 @@ def _coordinate_blocks(eqs: list[Sequence[int]], forms: list[Sequence[int]],
     return [(block, len([j for j in block if j not in solved])) for block in out.values()]
 
 
-def _normal_height_bound(p: Polytope) -> int:
-    """A height ``top`` such that P is normal iff h*P passes the level test for h <= top.
+def _core_factors(p: Polytope, apexes: dict[int, Point]) -> list[tuple[int, int]]:
+    """``(dimension, apex count)`` of each factor of the core, one per coordinate block.
 
-    Starts from dim - 1 and lowers it through lattice pyramids and
-    coordinate products (see :func:`is_normal`), reading only the hull,
-    the facet values and the lattice points: it builds no polytope.
+    The core is the face of P the facets of ``apexes`` (:func:`_apexes`)
+    cut out.  It is read off P, and no polytope is built.  A lone factor
+    is the core, and a point alone off a facet of P is an apex of P.
     """
-    d = p.dim
-    if d <= 2:
-        return d - 1
-    apexes = _apexes(p)
-    top = d - 1 - len(apexes)
-    if top <= 1:
-        return top
-    # The core is the face the apex facets cut out.
     others = [f for f in p.facets if f.facet_id not in apexes] if apexes else p.facets
     eqs = [a for a, _ in p.affine_hull_forms] + [p.facets[i].int_form[0] for i in apexes]
     blocks = _coordinate_blocks(eqs, [f.int_form[0] for f in others], p.ambient_dim)
     if len(blocks) == 1:
-        return top
-    pts = p.lattice_points
-    tops = []
+        return [(blocks[0][1], 0)]
+    out = []
     for coords, free in blocks:
         # The factor's apexes: lone projected points off a facet of P (the
         # apexes are on it).  On a one-coordinate block a projection is an int.
-        proj = list(map(itemgetter(*coords), pts))
+        proj = list(map(itemgetter(*coords), p.lattice_points))
         lone = set()
         for f in others:
             off = {q for q, v in zip(proj, f.row) if v}
             if len(off) == 1:
                 lone |= off
-        tops.append(free - 1 - len(lone))
-    return max(tops)
+        out.append((free, len(lone)))
+    return out
+
+
+def _normal_height_bound(p: Polytope) -> int:
+    """A height ``top`` such that P is normal iff h*P passes the level test for h <= top.
+
+    Starts from dim - 1 and lowers it through lattice pyramids and the
+    factors of their core (see :func:`is_normal`).
+    """
+    if p.dim <= 2:
+        return p.dim - 1
+    apexes = _apexes(p)
+    top = p.dim - 1 - len(apexes)
+    if top <= 1:
+        return top
+    return max(e - 1 - a for e, a in _core_factors(p, apexes))
 
 
 def is_normal(p: Polytope) -> bool:
@@ -473,29 +480,34 @@ def classify_segre(p: Polytope) -> SegreClassification:
     For an applicable polytope the structure theory guarantees the peel
     core is simple with two simplex factors and that the class group is
     Z with the ring normal; any failure of those facts is an invariant
-    violation, not a soft negative.
+    violation, not a soft negative.  The core and its factors are read off
+    P (:func:`_core_factors`).  A core vertex lies on the k apex facets too,
+    so the core is simple iff each other vertex of P lies on dim facets,
+    and a factor of dimension e with e + 1 apexes is a simplex.
     """
     if not p.is_01:
         raise ValueError("classification requires a (0,1)-polytope")
     if p.dim < 1 or len(p.facets) != p.dim + 2:
         return SegreClassification("NOT_APPLICABLE", None, 0)
-    core, apexes = pyramid_peel(p)
-    if core.dim < 2 or len(core.facets) != core.dim + 2 or not core.is_simple():
+    apexes = _apexes(p)
+    on = Counter(p.vertices[i] for f in p.facets for i in f.vertex_set)  # facets per vertex
+    core = [v for v in p.vertices if v not in apexes.values()]
+    if p.dim - len(apexes) < 2 or any(on[v] != p.dim for v in core):
         raise InvariantViolation(
             f"peel core of a dim+2-facet polytope is not simple with dim+2 facets: "
-            f"core vertices {list(core.vertices)}")
-    factors = product_decompose_01(core)
-    if len(factors) != 2 or any(len(f.vertices) != f.dim + 1 for f in factors):
+            f"core vertices {core}")
+    factors = _core_factors(p, apexes)
+    if len(factors) != 2 or any(a != e + 1 for e, a in factors):
         raise InvariantViolation(
             f"peel core did not factor into two simplices: "
-            f"core vertices {list(core.vertices)}")
-    dims = tuple(sorted(f.dim for f in factors))
+            f"core vertices {core}")
+    dims = tuple(sorted(e for e, _ in factors))
     cg = class_group(p)
     if not (cg.free_rank == 1 and cg.is_torsionfree and is_normal(p)):
         raise InvariantViolation(
             f"classified polytope should have class group Z and be normal, got "
             f"rank {cg.free_rank}, torsion {cg.torsion}")
-    return SegreClassification("SEGRE", (dims[0], dims[1]), apexes)
+    return SegreClassification("SEGRE", (dims[0], dims[1]), len(apexes))
 
 
 CHECK_NAMES = (

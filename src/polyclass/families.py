@@ -79,14 +79,10 @@ class Poset:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"relation ({i}, {j}) out of range")
             leq[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+        for k in range(n):  # Warshall: what is above k is above all below k
+            for row in leq:
+                if row[k]:
+                    row[:] = [a or b for a, b in zip(row, leq[k])]
         return cls(n, leq)
 
     def is_transitively_closed_input(self, relations: Iterable[tuple[int, int]]) -> bool:
@@ -96,38 +92,16 @@ class Poset:
         return given == closed
 
     def filters(self) -> list[frozenset[int]]:
-        """All upward-closed subsets, deterministically ordered.
+        """All upward-closed subsets, ordered by their sorted element lists.
 
-        Elements are decided along a reverse linear extension so that
-        when we decide to include i, everything above i is already in.
+        A filter is a union of principal filters, so the filters are the
+        closure of the empty mask under or-ing each element's up-set mask.
         """
-        order = self._linear_extension()
-        out: list[frozenset[int]] = []
-
-        def rec(idx: int, chosen: set[int]) -> None:
-            if idx < 0:
-                out.append(frozenset(chosen))
-                return
-            i = order[idx]
-            rec(idx - 1, chosen)
-            if all(j in chosen for j in range(self.n) if j != i and self.leq[i][j]):
-                chosen.add(i)
-                rec(idx - 1, chosen)
-                chosen.remove(i)
-
-        rec(len(order) - 1, set())
-        return sorted(out, key=lambda s: sorted(s))
-
-    def _linear_extension(self) -> list[int]:
-        remaining = set(range(self.n))
-        order = []
-        while remaining:
-            nxt = min(i for i in remaining
-                      if all(j not in remaining or j == i
-                             for j in range(self.n) if self.leq[j][i]))
-            order.append(nxt)
-            remaining.remove(nxt)
-        return order
+        masks = {0}
+        for row in self.leq:
+            up = sum(1 << j for j, x in enumerate(row) if x)
+            masks |= {m | up for m in masks}
+        return _sets_of_masks(masks, self.n)
 
 
 class Graph:
@@ -151,21 +125,20 @@ class Graph:
             self.adj[b].add(a)
 
     def stable_sets(self) -> list[frozenset[int]]:
-        """All independent sets, including the empty set."""
-        out: list[frozenset[int]] = []
+        """All independent sets, the empty one too, ordered by their sorted element lists.
 
-        def rec(i: int, chosen: set[int]) -> None:
-            if i == self.n:
-                out.append(frozenset(chosen))
-                return
-            rec(i + 1, chosen)
-            if not (self.adj[i] & chosen):
-                chosen.add(i)
-                rec(i + 1, chosen)
-                chosen.remove(i)
+        Vertex i joins each stable set on 0..i-1 that misses its neighbours.
+        """
+        masks = [0]
+        for i, nbrs in enumerate(self.adj):
+            nb = sum(1 << j for j in nbrs)
+            masks += [m | 1 << i for m in masks if not m & nb]
+        return _sets_of_masks(masks, self.n)
 
-        rec(0, set())
-        return sorted(out, key=lambda s: sorted(s))
+
+def _sets_of_masks(masks: Iterable[int], n: int) -> list[frozenset[int]]:
+    """Bitmasks over 0..n-1 as sets, ordered by their sorted element lists."""
+    return [frozenset(s) for s in sorted([i for i in range(n) if m >> i & 1] for m in masks)]
 
 
 def order_polytope(poset: Poset) -> Polytope:

@@ -10,11 +10,14 @@ below the dimension, coordinate products by trying every coordinate subset,
 pyramid peels one apex at a time, facet values form by form and point by
 point, unit chains by a search over every ordered sequence, reports by the
 stdlib's JSON encoder, the check battery with normality decided on every
-polytope.  None of it shares code with the polyclass internals, except
-that the normality level test takes the points of h*P from the library's
-slicing walk, the stepwise peel reads the library's facet rows, the facet
-values start from the library's facet forms, and the eager battery calls
-the library's predicates.
+polytope, the Segre classification from a rebuilt peel core and factors,
+poset filters and stable sets of graphs by a scan of every subset.
+None of it shares code with the polyclass internals, except that the
+normality level test takes the points of h*P from the library's slicing
+walk, the stepwise peel reads the library's facet rows, the facet values
+start from the library's facet forms, the eager battery calls the
+library's predicates, and the Segre rebuild calls the library's peel and
+product decomposition.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from polyclass import IntMatrix, Polytope, class_group, is_compressed, is_normal, k_number
+from polyclass import (IntMatrix, InvariantViolation, Polytope, class_group, is_compressed,
+                       is_normal, k_number, product_decompose_01, pyramid_peel)
 
 
 def det_by_permutations(rows: list[list[int]]) -> int:
@@ -449,3 +453,42 @@ def polytope_checks_eager(p) -> dict[str, bool | None]:
         res["facet_count_iff_class_z"] = None
         res["few_facets_normal_torsionfree"] = None
     return res
+
+
+def classify_segre_by_rebuild(p):
+    """``(tag, simplex_dims, apex_count)`` of a (0,1)-polytope, from rebuilt polytopes.
+
+    With dim + 2 facets the peel core is built by ``pyramid_peel`` and
+    must be simple with dim + 2 facets, and its factors, built by
+    ``product_decompose_01``, must be two simplices; a failure raises
+    ``InvariantViolation``.  The class group and normality cross-check
+    of ``classify_segre`` is left out.
+    """
+    if p.dim < 1 or len(p.facets) != p.dim + 2:
+        return "NOT_APPLICABLE", None, 0
+    core, apexes = pyramid_peel(p)
+    if core.dim < 2 or len(core.facets) != core.dim + 2 or not core.is_simple():
+        raise InvariantViolation("peel core is not simple with dim + 2 facets")
+    factors = product_decompose_01(core)
+    if len(factors) != 2 or any(len(f.vertices) != f.dim + 1 for f in factors):
+        raise InvariantViolation("peel core is not a product of two simplices")
+    a, b = sorted(f.dim for f in factors)
+    return "SEGRE", (a, b), apexes
+
+
+def _subsets_by_scan(n: int, keep) -> list[frozenset[int]]:
+    """Every subset of 0..n-1 that ``keep`` accepts, ordered by sorted element lists."""
+    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    return sorted((s for s in subsets if keep(s)), key=sorted)
+
+
+def filters_by_scan(poset) -> list[frozenset[int]]:
+    """The subsets that hold everything above each of their elements."""
+    n = poset.n
+    return _subsets_by_scan(
+        n, lambda s: all(j in s for i in s for j in range(n) if poset.leq[i][j]))
+
+
+def stable_sets_by_scan(graph) -> list[frozenset[int]]:
+    """The subsets that hold no edge."""
+    return _subsets_by_scan(graph.n, lambda s: not any(a in s and b in s for a, b in graph.edges))

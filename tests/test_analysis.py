@@ -14,6 +14,8 @@ from polyclass import (
     Polytope,
     UnitChain,
     VerificationReport,
+    all_01_polytopes,
+    analyze,
     class_group,
     classify_segre,
     cube,
@@ -35,11 +37,11 @@ from polyclass import (
     validate_unit_chain,
     verify_family,
 )
-from polyclass import analysis
+from polyclass import analysis, cli
 from polyclass.analysis import CheckOutcome
-from oracles import (coordinate_blocks_by_subsets, facet_rows_by_forms, is_normal_by_levels,
-                     pivot_columns, polytope_checks_eager, pyramid_peel_stepwise,
-                     unit_chain_length_by_search)
+from oracles import (classify_segre_by_rebuild, coordinate_blocks_by_subsets, facet_rows_by_forms,
+                     is_normal_by_levels, pivot_columns, polytope_checks_eager,
+                     pyramid_peel_stepwise, unit_chain_length_by_search)
 from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, complete_bipartite,
                      named_corpus, pyramid_invariance_bases)
 from test_invariance import unimodular_image, unimodular_images
@@ -595,6 +597,120 @@ class TestSegreClassification:
             else:
                 assert c.tag == "NOT_APPLICABLE"
         assert seen_segre > 0
+
+
+def segre_corpus() -> list[Polytope]:
+    """708 (0,1)-polytopes for the Segre rebuild oracle, 243 of them with dim + 2 facets.
+
+    The full-dimensional ones in R^3, 400 samples in R^4, the (0,1)
+    members of the named and deep corpora, and Δa x Δb (a <= b <= 4)
+    under 0-2 pyramids in two random coordinate orders, each also with
+    a constant coordinate appended, and the edge polytopes of K_{m,n}
+    (m, n <= 4), which are Δ(m-1) x Δ(n-1) in R^(m+n).
+    """
+    rng = random.Random(19)
+    out = list(all_01_polytopes(3))
+    for seed in range(4):
+        out.extend(random_01_polytopes(4, 100, seed=seed))
+    out.extend(p for _, p in named_corpus() if p.is_01)
+    out.extend(p for p in map(Polytope, benchmark_workloads().deep_corpus().values()) if p.is_01)
+    for a in range(1, 5):
+        for b in range(a, 5):
+            p = product(simplex(a), simplex(b))
+            for _ in range(3):
+                for _ in range(2):
+                    order = rng.sample(range(p.ambient_dim), p.ambient_dim)
+                    q = Polytope([tuple(v[j] for j in order) for v in p.vertices])
+                    out.extend((q, Polytope([v + (1,) for v in q.vertices])))
+                p = pyramid(p)
+    out.extend(edge_polytope(complete_bipartite(m, n)) for m in range(1, 5) for n in range(1, 5))
+    return out
+
+
+def segre_outcome(classify, p):
+    """``(tag, simplex_dims, apex_count)`` of a classification, or "violation"."""
+    try:
+        c = classify(p)
+    except InvariantViolation:
+        return "violation"
+    return c if isinstance(c, tuple) else (c.tag, c.simplex_dims, c.apex_count)
+
+
+class TestSegreOracle:
+    def test_agrees_with_the_rebuild(self):
+        tags = []
+        for p in segre_corpus():
+            got = segre_outcome(classify_segre, p)
+            assert got == segre_outcome(classify_segre_by_rebuild, p), p.vertices
+            tags.append(got[0])
+        assert (tags.count("SEGRE"), tags.count("NOT_APPLICABLE")) == (243, 465)
+
+    @pytest.mark.parametrize("apexes", [
+        lambda p: {},  # the apex lies on 4 facets
+        lambda p: dict(enumerate(p.vertices[:2])),  # a core of dimension 1
+    ], ids=["no-apex", "two-apexes"])
+    def test_forged_apexes_leave_no_simple_core(self, monkeypatch, apexes):
+        monkeypatch.setattr(analysis, "_apexes", apexes)
+        with pytest.raises(InvariantViolation, match="not simple"):
+            classify_segre(SQUARE_PYRAMID)
+
+    @pytest.mark.parametrize("blocks", [
+        [([0, 1, 2], 3)],
+        [([0, 1], 2), ([2], 1)],  # a square, without apexes, and a segment
+    ], ids=["one-block", "square-and-segment"])
+    def test_forged_blocks_are_not_two_simplices(self, monkeypatch, blocks):
+        p = product(simplex(1), simplex(2))
+        monkeypatch.setattr(analysis, "_coordinate_blocks", lambda eqs, forms, n: blocks)
+        with pytest.raises(InvariantViolation, match="two simplices"):
+            classify_segre(p)
+
+    def test_forged_non_normal_square_fails_the_group_check(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(analysis, "is_normal", lambda p: False)
+        with pytest.raises(InvariantViolation, match="class group Z and be normal"):
+            classify_segre(cube(2))
+        path = tmp_path / "square.json"
+        path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+        assert cli.main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invariant violation: ")
+
+
+class TestSegreBuildsNoPolytope:
+    """The classification reads the core and its factors off P itself."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = Polytope.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Polytope, "__init__", counting_init)
+        return count
+
+    def test_analyze_builds_only_the_peel_core(self, built):
+        p = Polytope(benchmark_workloads().deep_corpus()["pyramid-d2xd2"])
+        built[0] = 0
+        assert analyze(p).segre.simplex_dims == (2, 2)
+        assert built[0] == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: cube(2),
+        lambda: SQUARE_PYRAMID,
+        lambda: pyramid(pyramid(product(simplex(1), simplex(3)))),
+        lambda: Polytope(benchmark_workloads().deep_corpus()["pyramid-d2xd2"]),
+    ], ids=["square", "square-pyramid", "double-pyramid-d1xd3", "pyramid-d2xd2"])
+    def test_classify_segre_builds_none(self, built, make):
+        p = make()
+        built[0] = 0
+        assert classify_segre(p).tag == "SEGRE"
+        assert built[0] == 0
+
+    def test_analyze_of_the_square_builds_none(self, built):
+        p = cube(2)
+        built[0] = 0
+        analyze(p)
+        assert built[0] == 0
 
 
 class TestChecks:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from polyclass import (
@@ -22,6 +24,7 @@ from polyclass import (
     stable_set_polytope,
     two_triangles_bridge,
 )
+from oracles import filters_by_scan, stable_sets_by_scan
 from support import FOUR_CYCLE, TRIANGLE_GRAPH, named_corpus
 
 
@@ -143,6 +146,30 @@ class TestPoset:
     def test_rejects_out_of_range_elements(self):
         with pytest.raises(ValueError):
             Poset.from_relations(2, [(0, 5)])
+
+
+class TestSubsetClosures:
+    """Filters and stable sets, content and order, against a scan of all 2^n subsets."""
+
+    def test_filters_of_random_posets(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            n = rng.randint(0, 8)
+            label = rng.sample(range(n), n)  # so that i <= j does not imply i < j
+            p = rng.choice((0.1, 0.3, 0.6))
+            relations = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < p]
+            poset = Poset.from_relations(n, relations)
+            assert poset.filters() == filters_by_scan(poset), relations
+
+    def test_stable_sets_of_random_graphs(self):
+        rng = random.Random(6)
+        for _ in range(150):
+            n = rng.randint(0, 8)
+            p = rng.choice((0.1, 0.3, 0.6))
+            graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < p])
+            assert graph.stable_sets() == stable_sets_by_scan(graph), graph.edges
 
 
 class TestOrderPolytope:
