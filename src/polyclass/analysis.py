@@ -21,8 +21,8 @@ This module decides the properties the class-group machinery feeds on:
   distinct facets where each point lies on all earlier facets and has
   value 1 on its own facet; such a chain of length k forces the first
   k invariant factors of the class matrix to be 1,
-* ``pyramid_peel`` -- strips pyramid apexes whose removal provably
-  preserves the class group (all other lattice points on the base),
+* ``pyramid_peel`` -- strips the apexes ``_peel`` reads off P, whose removal
+  provably preserves the class group (all other lattice points on the base),
 * ``product_decompose_01`` -- finest coordinate-block factorization of
   a (0,1)-polytope into a cartesian product, by ``_coordinate_blocks``,
 * ``classify_segre`` -- decides from the apexes and core factors of the
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
@@ -422,6 +422,13 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
     return True
 
 
+def _peel(p: Polytope) -> tuple[list[Point], int, dict[int, Point]]:
+    """``(core vertices, apex count, apexes)``: :func:`pyramid_peel` building no polytope."""
+    apexes = _apexes(p) if p.dim >= 1 else {}
+    core = [v for v in p.vertices if v not in apexes.values()] or [p.vertices[0]]
+    return core, min(len(apexes), p.dim), apexes
+
+
 def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
     """Strip the apexes of P in the lattice-pyramid sense: ``(core, apex count)``.
 
@@ -431,11 +438,8 @@ def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
     that are not apexes; an empty simplex, all apexes, keeps its first
     vertex with dim apexes.  Without apexes the core is P itself.
     """
-    apexes = _apexes(p) if p.dim >= 1 else {}
-    if not apexes:
-        return p, 0
-    core = [v for v in p.vertices if v not in apexes.values()] or [p.vertices[0]]
-    return Polytope(core, p.ambient_dim), min(len(apexes), p.dim)
+    core, k, _ = _peel(p)
+    return (Polytope(core, p.ambient_dim) if k else p), k
 
 
 def product_decompose_01(p: Polytope) -> list[Polytope]:
@@ -481,18 +485,17 @@ def classify_segre(p: Polytope) -> SegreClassification:
     core is simple with two simplex factors and that the class group is
     Z with the ring normal; any failure of those facts is an invariant
     violation, not a soft negative.  The core and its factors are read off
-    P (:func:`_core_factors`).  A core vertex lies on the k apex facets too,
-    so the core is simple iff each other vertex of P lies on dim facets,
-    and a factor of dimension e with e + 1 apexes is a simplex.
+    P (:func:`_peel`, :func:`_core_factors`).  A core vertex lies on the k
+    apex facets too, so the core is simple iff each other vertex of P lies
+    on dim facets, and a factor of dimension e with e + 1 apexes is a simplex.
     """
     if not p.is_01:
         raise ValueError("classification requires a (0,1)-polytope")
     if p.dim < 1 or len(p.facets) != p.dim + 2:
         return SegreClassification("NOT_APPLICABLE", None, 0)
-    apexes = _apexes(p)
+    core, k, apexes = _peel(p)
     on = Counter(p.vertices[i] for f in p.facets for i in f.vertex_set)  # facets per vertex
-    core = [v for v in p.vertices if v not in apexes.values()]
-    if p.dim - len(apexes) < 2 or any(on[v] != p.dim for v in core):
+    if p.dim - k < 2 or any(on[v] != p.dim for v in core):
         raise InvariantViolation(
             f"peel core of a dim+2-facet polytope is not simple with dim+2 facets: "
             f"core vertices {core}")
@@ -507,7 +510,7 @@ def classify_segre(p: Polytope) -> SegreClassification:
         raise InvariantViolation(
             f"classified polytope should have class group Z and be normal, got "
             f"rank {cg.free_rank}, torsion {cg.torsion}")
-    return SegreClassification("SEGRE", (dims[0], dims[1]), len(apexes))
+    return SegreClassification("SEGRE", (dims[0], dims[1]), k)
 
 
 CHECK_NAMES = (
@@ -581,16 +584,14 @@ class VerificationReport:
         return [o for o in self.outcomes if o.failed]
 
 
-def verify_family(polytopes: Iterable[Polytope], workers: int | None = None,
-                  progress: Callable[[int], None] | None = None) -> VerificationReport:
+def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> VerificationReport:
     """Run ``polytope_checks`` over a family and aggregate the outcomes.
 
     Serially each polytope is checked and tallied before the next is
     drawn, keeping only each check's first counterexample and its index.
     ``workers`` > 1 fans out over a thread pool, which holds the family
     (aggregation is in input order either way, so the report is
-    deterministic).  ``progress`` is called with the running count of
-    finished polytopes, in input order, in both cases.
+    deterministic).
     """
     counts = {name: [0, 0, 0] for name in CHECK_NAMES}
     first: dict[str, tuple[Polytope, int]] = {}
@@ -613,8 +614,6 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None,
                     counts[name][1] += 1
                     first.setdefault(name, (p, total))
             total += 1
-            if progress:
-                progress(total)
     outcomes = tuple(
         CheckOutcome(name, *counts[name], *first.get(name, (None, None)))
         for name in CHECK_NAMES)

@@ -4,9 +4,11 @@
 matrix, class group, compressedness, normality, unit chain, pyramid
 peeling, Segre classification when applicable) and returns an
 :class:`AnalysisReport` that renders either as aligned text or as
-canonical JSON.  The JSON form is deterministic byte for byte: all
-orders are canonical and keys are sorted.  The bytes are exactly those of
-``json.dumps(indent=2, sort_keys=True)``, produced by a dedicated emitter.
+canonical JSON, and builds no polytope: the peel core is the vertices that
+are not apexes, of dimension dim - (apex count).  The JSON form is
+deterministic byte for byte: all orders are canonical and keys are
+sorted.  The bytes are exactly those of ``json.dumps(indent=2,
+sort_keys=True)``, produced by a dedicated emitter.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ from typing import Any
 from .analysis import (
     SegreClassification,
     UnitChain,
+    _peel,
     classify_segre,
     is_compressed,
     is_normal,
     k_number,
-    pyramid_peel,
     validate_unit_chain,
 )
 from .classgroup import ClassGroupPresentation, class_group, class_matrix
-from .polytope import Polytope
+from .polytope import Point, Polytope
 
 MATRIX_PRINT_LIMIT = 40
 
@@ -43,7 +45,7 @@ class AnalysisReport:
     normal: bool | None = None
     simple: bool | None = None
     unit_chain: UnitChain | None = None
-    peel_core: Polytope | None = None
+    peel_core_vertices: tuple[Point, ...] | None = None
     peel_apexes: int | None = None
     segre: SegreClassification | None = None
     warnings: tuple[str, ...] = ()
@@ -94,8 +96,8 @@ class AnalysisReport:
         }
         out["pyramid_peel"] = {
             "apex_count": self.peel_apexes,
-            "core_dim": self.peel_core.dim,
-            "core_vertices": [list(v) for v in self.peel_core.vertices],
+            "core_dim": p.dim - self.peel_apexes,
+            "core_vertices": [list(v) for v in self.peel_core_vertices],
         }
         out["segre"] = None
         if self.segre is not None:
@@ -135,7 +137,7 @@ class AnalysisReport:
             lines.append(f"    chain points    : {[list(v) for v in self.unit_chain.points]}")
             lines.append(f"    chain facets    : {list(self.unit_chain.facet_ids)}")
         lines.append(f"  pyramid apexes    : {self.peel_apexes} "
-                     f"(core dim {self.peel_core.dim})")
+                     f"(core dim {p.dim - self.peel_apexes})")
         if self.segre is not None:
             if self.segre.tag == "SEGRE":
                 a, b = self.segre.simplex_dims
@@ -201,7 +203,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
     chain = k_number(p)
     if not validate_unit_chain(p, chain):
         warnings.append("unit chain certificate failed revalidation")
-    core, apexes = pyramid_peel(p)
+    core, apexes, _ = _peel(p)
     segre = classify_segre(p) if p.is_01 else None
     return AnalysisReport(
         name=name,
@@ -213,7 +215,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
         normal=normal,
         simple=p.is_simple(),
         unit_chain=chain,
-        peel_core=core,
+        peel_core_vertices=tuple(core),
         peel_apexes=apexes,
         segre=segre,
         warnings=tuple(warnings),

@@ -492,6 +492,24 @@ class TestPyramidPeel:
     def test_agrees_with_the_stepwise_peel_on_pyramids_and_products(self, p):
         assert pyramid_peel(p) == pyramid_peel_stepwise(p), p.vertices
 
+    @staticmethod
+    def assert_report_peels_stepwise(p):
+        core, apexes = pyramid_peel_stepwise(p)
+        assert analyze(p).to_dict()["pyramid_peel"] == {
+            "apex_count": apexes, "core_dim": core.dim,
+            "core_vertices": [list(v) for v in core.vertices]}, p.vertices
+
+    def test_report_peel_section_agrees_with_the_stepwise_peel(self):
+        corpus = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+        corpus += [p for _, p in named_corpus() if p.dim >= 1]
+        for p in list(all_01_polytopes(3)) + corpus + [simplex(n) for n in range(1, 5)]:
+            self.assert_report_peels_stepwise(p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(pyramids_and_products())
+    def test_report_peel_section_agrees_on_pyramids_and_products(self, p):
+        self.assert_report_peels_stepwise(p)
+
     def test_peel_preserves_group_presentation(self):
         for base in pyramid_invariance_bases(20):
             lifted = pyramid(base)
@@ -675,7 +693,7 @@ class TestSegreOracle:
 
 
 class TestSegreBuildsNoPolytope:
-    """The classification reads the core and its factors off P itself."""
+    """The classification and the report read the core and its factors off P itself."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -688,11 +706,16 @@ class TestSegreBuildsNoPolytope:
         monkeypatch.setattr(Polytope, "__init__", counting_init)
         return count
 
-    def test_analyze_builds_only_the_peel_core(self, built):
-        p = Polytope(benchmark_workloads().deep_corpus()["pyramid-d2xd2"])
+    @pytest.mark.parametrize("make, apexes", [
+        (lambda: Polytope(benchmark_workloads().deep_corpus()["pyramid-d2xd2"]), 1),
+        (lambda: Polytope(benchmark_workloads().deep_corpus()["segment-r16"]), 1),
+        (lambda: simplex(3), 3),
+    ], ids=["pyramid-d2xd2", "segment-r16", "simplex3"])
+    def test_analyze_builds_none(self, built, make, apexes):
+        p = make()
         built[0] = 0
-        assert analyze(p).segre.simplex_dims == (2, 2)
-        assert built[0] == 1
+        assert analyze(p).peel_apexes == apexes
+        assert built[0] == 0
 
     @pytest.mark.parametrize("make", [
         lambda: cube(2),
@@ -820,23 +843,23 @@ class TestVerifyFamily:
         fam = [p for _, p in named_corpus()]
         assert verify_family(fam, workers=4) == verify_family(fam, workers=1)
 
-    def test_progress_callback(self):
-        for workers in (None, 2):
-            seen = []
-            verify_family([fixture("P1"), fixture("P2"), fixture("P3")],
-                          workers=workers, progress=seen.append)
-            assert seen == [1, 2, 3]
-
-    def test_serial_path_streams_the_family(self):
+    def test_serial_path_streams_the_family(self, monkeypatch):
         events = []
+        checks = analysis.polytope_checks
+
+        def logged_checks(p):
+            events.append(("check", p.vertices))
+            return checks(p)
+        monkeypatch.setattr(analysis, "polytope_checks", logged_checks)
 
         def family():
             for i, name in enumerate(["P1", "P2", "P3"]):
                 events.append(("yield", i))
                 yield fixture(name)
-        verify_family(family(), progress=lambda n: events.append(("progress", n)))
-        assert events == [("yield", 0), ("progress", 1), ("yield", 1), ("progress", 2),
-                          ("yield", 2), ("progress", 3)]
+        verify_family(family())
+        assert events == [("yield", 0), ("check", fixture("P1").vertices),
+                          ("yield", 1), ("check", fixture("P2").vertices),
+                          ("yield", 2), ("check", fixture("P3").vertices)]
 
     def test_first_counterexample_keeps_its_index(self, monkeypatch):
         first_check = CHECK_NAMES[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -20,6 +21,8 @@ from polyclass import (
     fixture,
     fixture_names,
     polytope_checks,
+    product,
+    pyramid,
     simplex,
     two_triangles_bridge,
 )
@@ -167,9 +170,21 @@ def test_reports_and_checks_read_value_rows_only():
         rep = analyze(p, name=name)
         rep.to_json()
         polytope_checks(p)
-        for q in (p, rep.peel_core):
-            if q.dim >= 1:
-                assert all(f.__dict__.keys() == fields for f in q.facets), name
+        if p.dim >= 1:
+            assert all(f.__dict__.keys() == fields for f in p.facets), name
+
+
+def test_text_reports_keep_their_bytes():
+    # One sha256 over render_text of the fixtures, the deep corpus, the
+    # empty simplices (all apexes) and a double pyramid over a product.
+    named = [(name, fixture(name)) for name in fixture_names()]
+    named += [(name, Polytope(v)) for name, v in benchmark_workloads().deep_corpus().items()]
+    named += [(f"simplex{n}", simplex(n)) for n in range(1, 5)]
+    named += [("double-pyramid-d1xd3", pyramid(pyramid(product(simplex(1), simplex(3)))))]
+    h = hashlib.sha256()
+    for name, p in named:
+        h.update(analyze(p, name=name).render_text().encode())
+    assert h.hexdigest() == "23edee544a1724cbc0d042bc9f85759bf433cdb56f2a60aed8b4ef31154812e4"
 
 
 @pytest.mark.parametrize("workload, ops", [("analyze-deep", 11), ("analyze-wide", 63),
