@@ -29,20 +29,19 @@ This module decides the properties the class-group machinery feeds on:
   normality bound whether a (0,1)-polytope with dim + 2 facets is, up to
   polynomial extension, a product of two simplices (a Segre product),
 * ``verify_family`` -- runs the battery of implications above over a
-  family and reports counterexamples; ``polytope_checks`` runs
+  family and reports counterexamples in a ``VerificationReport``, a named
+  tuple like every result type here; ``polytope_checks`` runs
   ``is_normal`` only on a polytope where a verdict reads its value.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
 from operator import itemgetter, mul
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
@@ -326,17 +325,22 @@ def is_normal_bruteforce(p: Polytope) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class UnitChain:
-    """A witness chain: points[i] lies on facets[0..i-1] and has value 1 on facets[i]."""
-
+class _UnitChain(NamedTuple):
     k: int
     points: tuple[Point, ...]
     facet_ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class UnitChain(_UnitChain):
+    """A witness chain: points[i] lies on facets[0..i-1] and has value 1 on facets[i]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> UnitChain:
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.k == len(self.points) == len(self.facet_ids)):
             raise ValueError("chain length mismatch")
+        return self
 
 
 def k_number(p: Polytope) -> UnitChain:
@@ -462,8 +466,7 @@ def product_decompose_01(p: Polytope) -> list[Polytope]:
     return out
 
 
-@dataclass(frozen=True)
-class SegreClassification:
+class SegreClassification(NamedTuple):
     """Outcome of the dim+2-facet classification of a (0,1)-polytope.
 
     ``tag`` is SEGRE when the polytope peels to a product of exactly two
@@ -561,8 +564,7 @@ def polytope_checks(p: Polytope) -> dict[str, Verdict]:
     return res
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     passed: int
     failed: int
@@ -571,8 +573,7 @@ class CheckOutcome:
     first_index: int | None = None  # position of first_counterexample in the family
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     total: int
     outcomes: tuple[CheckOutcome, ...]
 
@@ -589,14 +590,18 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> 
 
     Serially each polytope is checked and tallied before the next is
     drawn, keeping only each check's first counterexample and its index.
-    ``workers`` > 1 fans out over a thread pool, which holds the family
-    (aggregation is in input order either way, so the report is
-    deterministic).
+    ``workers`` > 1 fans out over a thread pool, imported on first use,
+    which holds the family and gives no speedup: the checks are pure Python
+    under the GIL.  It stays because ``perfbench/walls.py`` times it.
+    Aggregation is in input order either way, so the report is deterministic.
     """
     counts = {name: [0, 0, 0] for name in CHECK_NAMES}
     first: dict[str, tuple[Polytope, int]] = {}
     total = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else nullcontext()
+    pool = nullcontext()
+    if workers and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
     with pool as ex:
         if ex:
             items = list(polytopes)

@@ -15,26 +15,31 @@ still well defined and is reported as a formal presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import IntMatrix, snf
 from .polytope import Point, Polytope
 
 
-@dataclass(frozen=True)
-class ClassMatrix:
-    """Facet-by-lattice-point matrix of normalized facet values."""
-
+class _ClassMatrix(NamedTuple):
     matrix: IntMatrix
     row_labels: tuple[int, ...]        # facet ids, canonical order
     col_labels: tuple[Point, ...]      # lattice points, lex order
 
-    def __post_init__(self) -> None:
+
+class ClassMatrix(_ClassMatrix):
+    """Facet-by-lattice-point matrix of normalized facet values."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClassMatrix:
+        self = super().__new__(cls, *args, **kwargs)
         if self.matrix.rows != len(self.row_labels):
             raise ValueError("row label count mismatch")
         if self.matrix.cols != len(self.col_labels):
             raise ValueError("column label count mismatch")
+        return self
 
 
 def class_matrix(p: Polytope) -> ClassMatrix:
@@ -55,8 +60,13 @@ def class_matrix(p: Polytope) -> ClassMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ClassGroupPresentation:
+class _ClassGroupPresentation(NamedTuple):
+    free_rank: int
+    full_factors: tuple[int, ...]
+    formal: bool = False
+
+
+class ClassGroupPresentation(_ClassGroupPresentation):
     """Z^free_rank x Z/s_1 x ... with the trivial factors kept in full_factors.
 
     ``formal`` is set when the polytope is not known to be normal, in
@@ -64,11 +74,10 @@ class ClassGroupPresentation:
     but its interpretation as a divisor class group is not guaranteed.
     """
 
-    free_rank: int
-    full_factors: tuple[int, ...]
-    formal: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> ClassGroupPresentation:
+        self = super().__new__(cls, *args, **kwargs)
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if any(s < 1 for s in self.full_factors):
@@ -76,6 +85,7 @@ class ClassGroupPresentation:
         for a, b in zip(self.full_factors, self.full_factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return self
 
     @property
     def torsion(self) -> tuple[int, ...]:

@@ -22,21 +22,24 @@ hull reads its affine hull off its points' form, through the kernel reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix stored row-major as nested tuples."""
-
+class _IntMatrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+
+class IntMatrix(_IntMatrix):
+    """Immutable integer matrix stored row-major as nested tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IntMatrix:
+        self = super().__new__(cls, *args, **kwargs)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
@@ -47,6 +50,7 @@ class IntMatrix:
             for v in row:
                 if type(v) is not int:
                     raise TypeError(f"entries must be int, got {v!r}")
+        return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -67,8 +71,12 @@ class IntMatrix:
                                for j in range(self.cols)))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class _SnfResult(NamedTuple):
+    rank: int
+    invariant_factors: tuple[int, ...]
+
+
+class SnfResult(_SnfResult):
     """Rank and invariant factors of an integer matrix.
 
     ``invariant_factors`` are the positive diagonal entries of the Smith
@@ -76,10 +84,10 @@ class SnfResult:
     them.
     """
 
-    rank: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SnfResult:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.invariant_factors) != self.rank:
             raise ValueError("factor count must equal rank")
         if any(s < 1 for s in self.invariant_factors):
@@ -87,6 +95,7 @@ class SnfResult:
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return self
 
 
 def snf(m: IntMatrix) -> SnfResult:

@@ -33,12 +33,11 @@ arithmetic is on ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intlinalg import (
     IntMatrix,
@@ -54,8 +53,7 @@ Point = tuple[int, ...]
 Form = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class FacetData:
+class FacetData(NamedTuple):
     """One facet: primitive integer form plus its normalized value row.
 
     ``int_form`` is the primitive integer form of the supporting
@@ -63,7 +61,7 @@ class FacetData:
     its values on the lattice points.  ``row[i]`` is the normalized
     value int_form(points[i]) / divisor at the i-th lattice point of the
     parent, in its lex order.  ``vertex_set`` holds indices into the
-    parent's vertex tuple.
+    parent's vertex tuple.  An immutable named tuple with no ``__dict__``.
     """
 
     facet_id: int

@@ -3,20 +3,19 @@
 ``analyze`` runs the whole pipeline (facets, lattice points, class
 matrix, class group, compressedness, normality, unit chain, pyramid
 peeling, Segre classification when applicable) and returns an
-:class:`AnalysisReport` that renders either as aligned text or as
-canonical JSON, and builds no polytope: the peel core is the vertices that
-are not apexes, of dimension dim - (apex count).  The JSON form is
-deterministic byte for byte: all orders are canonical and keys are
-sorted.  The bytes are exactly those of ``json.dumps(indent=2,
+:class:`AnalysisReport`, an immutable named tuple that renders either as
+aligned text or as canonical JSON, and builds no polytope: the peel core
+is the vertices that are not apexes, of dimension dim - (apex count).
+The JSON form is deterministic byte for byte: all orders are canonical
+and keys are sorted.  The bytes are exactly those of ``json.dumps(indent=2,
 sort_keys=True)``, produced by a dedicated emitter.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 from .analysis import (
     SegreClassification,
@@ -34,8 +33,7 @@ from .polytope import Point, Polytope
 MATRIX_PRINT_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     name: str
     polytope: Polytope
     trivial: bool

@@ -1,9 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name the package defines is used somewhere in it."""
+"""Every name a package module imports is used in that module, every
+module-level private name the package defines is used somewhere in it, and
+importing the CLI loads none of the heavy stdlib modules no computation needs."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,37 @@ def test_no_orphaned_private_names():
                     used.add(name)
     assert defined
     assert set(defined) <= used, sorted(f"{defined[n]}: {n}" for n in set(defined) - used)
+
+
+# Run in a fresh interpreter.  The watched modules (and the package) are
+# dropped from sys.modules first and only what the import adds is counted,
+# so a site hook that preloads one can neither fake a pass nor a failure.
+_IMPORT_PROBE = """
+import json, sys
+watched = ("dataclasses", "inspect", "concurrent", "logging", "polyclass")
+for name in [m for m in sys.modules if m.split(".")[0] in watched]:
+    del sys.modules[name]
+bare = set(sys.modules)
+import polyclass.cli
+from polyclass import random_01_polytopes, verify_family
+loaded = sorted(set(sys.modules) - bare)
+serial = verify_family(random_01_polytopes(3, 5, seed=0))
+after_serial = "concurrent.futures" in sys.modules
+pooled = verify_family(random_01_polytopes(3, 5, seed=0), workers=2)
+print(json.dumps({"loaded": loaded, "after_serial": after_serial,
+                  "after_pool": "concurrent.futures" in sys.modules,
+                  "same": pooled == serial, "total": pooled.total}))
+"""
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    env = {**os.environ, "PYTHONPATH": str(Path(polyclass.__file__).parent.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    res = json.loads(out)
+    assert "polyclass.cli" in res["loaded"]
+    heavy = {"dataclasses", "inspect", "concurrent.futures", "logging"}
+    assert heavy.isdisjoint(res["loaded"]), sorted(heavy & set(res["loaded"]))
+    assert not res["after_serial"]
+    assert res["after_pool"] and res["same"] and res["total"] == 5
