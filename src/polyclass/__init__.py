@@ -1,7 +1,7 @@
 """Exact divisor class groups and structural invariants of lattice polytopes.
 
 The public surface re-exported here mirrors the pipeline: exact integer
-linear algebra (``IntMatrix``, ``snf``, ``gcd_minors``), polytope
+linear algebra (``IntMatrix``, ``snf``, ``hnf_row_lattice``), polytope
 geometry (``Polytope``), family constructors, class-group computation,
 structural analysis, and the one-call ``analyze`` report.
 """
@@ -14,10 +14,8 @@ from .analysis import (
     classify_segre,
     is_compressed,
     is_normal,
-    is_normal_bruteforce,
     k_number,
     polytope_checks,
-    product_decompose_01,
     pyramid_peel,
     validate_unit_chain,
     verify_family,
@@ -27,7 +25,6 @@ from .classgroup import (
     ClassMatrix,
     class_group,
     class_matrix,
-    is_torsionfree,
 )
 from .errors import InvariantViolation
 from .families import (
@@ -45,16 +42,12 @@ from .families import (
     random_01_polytopes,
     simplex,
     stable_set_polytope,
-    two_triangles_bridge,
 )
 from .intlinalg import (
     IntMatrix,
     SnfResult,
-    gcd_minors,
     hnf_row_lattice,
     in_row_lattice,
-    int_kernel_basis,
-    rank,
     snf,
 )
 from .polytope import FacetData, Polytope
@@ -87,27 +80,20 @@ __all__ = [
     "edge_polytope",
     "fixture",
     "fixture_names",
-    "gcd_minors",
     "hnf_row_lattice",
     "in_row_lattice",
-    "int_kernel_basis",
     "is_compressed",
     "is_normal",
-    "is_normal_bruteforce",
-    "is_torsionfree",
     "k_number",
     "order_polytope",
     "polytope_checks",
     "product",
-    "product_decompose_01",
     "pyramid",
     "pyramid_peel",
     "random_01_polytopes",
-    "rank",
     "simplex",
     "snf",
     "stable_set_polytope",
-    "two_triangles_bridge",
     "validate_unit_chain",
     "verify_family",
     "__version__",

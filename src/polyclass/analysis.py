@@ -14,17 +14,13 @@ This module decides the properties the class-group machinery feeds on:
   runs on the polytope itself: a non-sum of a face or a factor is one of
   the whole.  Each level is one int used as a bitset over a mixed-radix
   key of the pivot coordinates of the affine hull, so a level is built
-  by shifts and ors.
-  ``is_normal_bruteforce`` re-decides the same question point by point
-  up to height dim and serves as an independent oracle,
+  by shifts and ors,
 * ``k_number`` -- the longest chain of distinct lattice points and
   distinct facets where each point lies on all earlier facets and has
   value 1 on its own facet; such a chain of length k forces the first
   k invariant factors of the class matrix to be 1,
 * ``pyramid_peel`` -- strips the apexes ``_peel`` reads off P, whose removal
   provably preserves the class group (all other lattice points on the base),
-* ``product_decompose_01`` -- finest coordinate-block factorization of
-  a (0,1)-polytope into a cartesian product, by ``_coordinate_blocks``,
 * ``classify_segre`` -- decides from the apexes and core factors of the
   normality bound whether a (0,1)-polytope with dim + 2 facets is, up to
   polynomial extension, a product of two simplices (a Segre product),
@@ -39,14 +35,14 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import nullcontext
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
 from .intlinalg import _echelon_int, in_row_lattice
-from .polytope import Point, Polytope, _dot
+from .polytope import Point, Polytope
 
 Verdict = bool | None
 
@@ -277,54 +273,6 @@ def _level_key(p: Polytope, top: int) -> tuple[list[int], int, int]:
     return weights, base, box
 
 
-def is_normal_bruteforce(p: Polytope) -> bool:
-    """Independent normality oracle: per-point decomposability search.
-
-    For each height h = 2 .. max(2, dim) (not dim - 1: the extra degree
-    also exercises the height bound the fast path relies on), every point
-    of h*P in the lattice at height h must split off some generator with
-    the remainder decomposable at height h - 1.  Top-down with
-    memoization; intentionally a different algorithm from ``is_normal``.
-    """
-    gens = p.lattice_points
-    gen_set = set(gens)
-    lat = p.lattice_height_basis
-    aff = p.affine_hull_forms
-    ineqs = tuple(form for form, _ in p._hull[1])
-    memo: dict[tuple[Point, int], bool] = {}
-
-    def in_scaled(z: Point, h: int) -> bool:
-        for a, b in aff:
-            if _dot(a, z) + h * b != 0:
-                return False
-        for a, b in ineqs:
-            if _dot(a, z) + h * b < 0:
-                return False
-        return True
-
-    def decomposable(z: Point, h: int) -> bool:
-        if h == 1:
-            return z in gen_set
-        key = (z, h)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        res = False
-        for g in gens:
-            w = tuple(a - b for a, b in zip(z, g))
-            if in_scaled(w, h - 1) and decomposable(w, h - 1):
-                res = True
-                break
-        memo[key] = res
-        return res
-
-    for h in range(2, max(2, p.dim) + 1):
-        for z in p._scaled_lattice_points(h):
-            if in_row_lattice(lat, z + (h,)) and not decomposable(z, h):
-                return False
-    return True
-
-
 class _UnitChain(NamedTuple):
     k: int
     points: tuple[Point, ...]
@@ -446,26 +394,6 @@ def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
     return (Polytope(core, p.ambient_dim) if k else p), k
 
 
-def product_decompose_01(p: Polytope) -> list[Polytope]:
-    """Finest cartesian factorization of a (0,1)-polytope's vertex set.
-
-    The factors are the projections of the vertices onto the blocks of
-    :func:`_coordinate_blocks`, each a polytope in its own coordinates,
-    ordered by smallest original coordinate; constant coordinates only
-    give single-point factors and are dropped.  A non-decomposable input
-    yields a singleton list.
-    """
-    if not p.is_01:
-        raise ValueError("product decomposition requires a (0,1)-polytope")
-    aff, raw = p._hull
-    blocks = _coordinate_blocks([a for a, _ in aff], [a for (a, _), _ in raw], p.ambient_dim)
-    out = [Polytope(sorted({tuple([v[j] for j in coords]) for v in p.vertices}), len(coords))
-           for coords, _ in blocks] or [p]
-    if prod(len(f.vertices) for f in out) != len(p.vertices):
-        raise InvariantViolation("factor projections do not multiply back to the vertex set")
-    return out
-
-
 class SegreClassification(NamedTuple):
     """Outcome of the dim+2-facet classification of a (0,1)-polytope.
 
@@ -580,9 +508,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(o.failed == 0 for o in self.outcomes)
-
-    def failures(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes if o.failed]
 
 
 def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> VerificationReport:

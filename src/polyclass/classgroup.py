@@ -127,8 +127,3 @@ def class_group(p: Polytope, *, formal: bool = False) -> ClassGroupPresentation:
         full_factors=res.invariant_factors,
         formal=formal,
     )
-
-
-def is_torsionfree(p: Polytope) -> bool:
-    """True when the class group presentation has no torsion."""
-    return class_group(p).is_torsionfree

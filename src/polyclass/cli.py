@@ -206,7 +206,7 @@ def _cmd_make(args: argparse.Namespace) -> int:
     elif ctor == "dilate":
         if not args.of or len(args.of) != 1:
             raise FileFormatError("dilate needs exactly one --of spec")
-        p = build_from_spec(args.of[0]).dilate(args.factor)
+        p = families.dilate(build_from_spec(args.of[0]), args.factor)
         name_parts.append(args.of[0].replace(":", "_").replace("/", "_"))
         name_parts.append(str(args.factor))
     elif ctor == "order":

@@ -53,7 +53,12 @@ def pyramid(base: Polytope, lift: int = 1) -> Polytope:
 
 
 def dilate(p: Polytope, k: int) -> Polytope:
-    return p.dilate(k)
+    """The dilation k*P, k >= 1."""
+    if type(k) is not int or k < 1:
+        raise ValueError("dilation factor must be a positive integer")
+    if k == 1:
+        return p
+    return Polytope([tuple(k * x for x in v) for v in p.vertices], p.ambient_dim)
 
 
 class Poset:
@@ -168,24 +173,6 @@ def edge_polytope(graph: Graph) -> Polytope:
         v[b] += 1
         verts.append(tuple(v))
     return Polytope(verts, graph.n)
-
-
-def two_triangles_bridge(path_length: int = 2) -> Graph:
-    """Two triangles joined by a path of the given length (>= 1).
-
-    With path length 2 the edge polytope of this graph is the standard
-    small example of a non-normal edge polytope.
-    """
-    if path_length < 1:
-        raise ValueError("path length must be at least 1")
-    n = 6 + (path_length - 1)
-    left = [0, 1, 2]
-    right = [n - 3, n - 2, n - 1]
-    edges = [(0, 1), (0, 2), (1, 2),
-             (right[0], right[1]), (right[0], right[2]), (right[1], right[2])]
-    chain = [2] + list(range(3, 3 + path_length - 1)) + [right[0]]
-    edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    return Graph(n, edges)
 
 
 _FIXTURE_VERTICES: dict[str, list[Point]] = {

@@ -7,22 +7,17 @@ package is built on:
 
 * ``snf`` -- Smith normal form invariant factors and rank, by
   diagonalization and a gcd/lcm pass over the diagonal,
-* ``gcd_minors`` -- gcd of all i-by-i minors, each a Bareiss
-  determinant at every size, the classical oracle for the invariant
-  factors (s_i = g_i / g_{i-1}), independent of ``snf``,
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
-  by the rows, plus a membership test,
-* ``int_kernel_basis`` -- a primitive integer basis of the right null space.
+  by the rows, plus a membership test.
 
 ``_echelon_int``, a fraction-free reduced echelon form, is the one rational
-elimination: ranks and minors read its pivots, and kernels, the hull's start
-rays (``_adjugate_rays``) and ``analysis._solve_last`` read its rows; the
-hull reads its affine hull off its points' form, through the kernel reader.
+elimination: kernels (``_kernel_of_echelon``), the hull's start rays
+(``_adjugate_rays``) and ``analysis._solve_last`` read its rows; the hull
+reads its affine hull off its points' form, through the kernel reader.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -60,15 +55,6 @@ class IntMatrix(_IntMatrix):
                 raise ValueError("cannot infer column count of an empty matrix")
             cols = len(ents[0])
         return cls(len(ents), cols, ents)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
 
 class _SnfResult(NamedTuple):
@@ -114,7 +100,7 @@ def snf(m: IntMatrix) -> SnfResult:
     (1, 2)
     >>> snf(IntMatrix.from_rows([[2, 0], [0, 4]])).invariant_factors
     (2, 4)
-    >>> snf(IntMatrix.identity(3))
+    >>> snf(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     SnfResult(rank=3, invariant_factors=(1, 1, 1))
     """
     a = [list(row) for row in m.entries]
@@ -172,35 +158,6 @@ def snf(m: IntMatrix) -> SnfResult:
     return SnfResult(rank=len(factors), invariant_factors=tuple(factors))
 
 
-def gcd_minors(m: IntMatrix, i: int) -> int:
-    """gcd of all i-by-i minors of ``m`` (0 if they all vanish; 1 for i=0).
-
-    The minors are enumerated at every size, each by Bareiss elimination,
-    so the value never comes from ``snf``: a minor with fewer than i
-    pivots is 0, else its last pivot is +-det.  The running gcd stops
-    early once it reaches 1.
-
-    >>> gcd_minors(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]]), 2)
-    2
-    >>> gcd_minors(IntMatrix.from_rows([[2, 4], [6, 8]]), 1)
-    2
-    """
-    if not 0 <= i <= min(m.rows, m.cols):
-        raise ValueError(f"minor size {i} out of range for {m.rows}x{m.cols} matrix")
-    if i == 0:
-        return 1
-    g = 0
-    for rsel in combinations(range(m.rows), i):
-        picked = [m.entries[r] for r in rsel]
-        for csel in combinations(range(m.cols), i):
-            ech, pivots, _ = _echelon_int([[row[c] for c in csel] for row in picked], i)
-            if len(pivots) == i:
-                g = gcd(g, ech[-1][-1])
-            if g == 1:
-                return 1
-    return g
-
-
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
     """Fraction-free (Bareiss) reduced row echelon form of an integer matrix.
 
@@ -244,16 +201,6 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
     return m[:r], pivot_cols, order[:r]
 
 
-def rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals.
-
-    >>> rank(IntMatrix.from_rows([[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0]]))
-    3
-    """
-    _, pivots, _ = _echelon_int(m.entries, m.cols)
-    return len(pivots)
-
-
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """``vec`` divided by the gcd of its entries; the zero vector is kept."""
     g = gcd(*vec)
@@ -262,29 +209,20 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right null space of an integer matrix.
-
-    One basis vector per free column, in column order; each is scaled to
-    integers with gcd 1 and leading entry positive.  (This is a basis of
-    the null space as a Q-vector space, not necessarily of the integer
-    kernel lattice, which is all the geometry code needs.)
-
-    Read off the reduced form of :func:`_echelon_int`, whose pivot entries
-    all equal D: the vector of free column f is D at f, minus each row's
-    entry f at that row's pivot, and 0 at the other free columns.
-
-    >>> int_kernel_basis([[1, 1]], 2)
-    [(1, -1)]
-    >>> int_kernel_basis([[1, 0], [0, 1]], 2)
-    []
-    """
-    return _kernel_of_echelon(*_echelon_int(rows, ncols)[:2], ncols)
-
-
 def _kernel_of_echelon(ech: Sequence[Sequence[int]], pivot_cols: Sequence[int],
                        ncols: int) -> list[tuple[int, ...]]:
-    """:func:`int_kernel_basis` of the rows :func:`_echelon_int` reduced to ``ech``."""
+    """Primitive integer basis of the right null space of rows :func:`_echelon_int` reduced.
+
+    ``ech`` and ``pivot_cols`` are the first two results of
+    :func:`_echelon_int` on a matrix with ``ncols`` columns.  There is one
+    basis vector per free column, in column order, each scaled to integers
+    with gcd 1 and leading entry positive.  (This is a basis of the null
+    space as a Q-vector space, not necessarily of the integer kernel
+    lattice, which is all the geometry code needs.)  As every pivot entry
+    of ``ech`` equals the last pivot D, the vector of free column f is D
+    at f, minus each row's entry f at that row's pivot, and 0 at the other
+    free columns.
+    """
     d = ech[-1][pivot_cols[-1]] if ech else 1
     pivset = set(pivot_cols)
     basis: list[tuple[int, ...]] = []

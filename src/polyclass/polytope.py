@@ -96,10 +96,8 @@ class Polytope:
     """Convex hull of integer points, canonicalized to lex-sorted vertices.
 
     The constructor is strict: every supplied point must be an actual
-    vertex of the hull, checked at construction time.  Use
-    :meth:`from_points` to build a polytope from an arbitrary generating
-    set with duplicates and interior points silently dropped.  ``dim``
-    is ``ambient_dim`` minus the number of affine hull equations.
+    vertex of the hull, checked at construction time.  ``dim`` is
+    ``ambient_dim`` minus the number of affine hull equations.
     """
 
     __slots__ = ("vertices", "ambient_dim", "dim", "__dict__")
@@ -111,31 +109,6 @@ class Polytope:
         object.__setattr__(self, "vertices", tuple(sorted(verts)))
         object.__setattr__(self, "ambient_dim", d)
         self._hull  # noqa: B018  -- forces the non-vertex check now
-
-    @classmethod
-    def from_points(cls, points: Iterable[Sequence[int]],
-                    ambient_dim: int | None = None) -> "Polytope":
-        """The hull of ``points`` from one double description over all of them.
-
-        Each facet's ``on`` indices are renumbered to the kept vertices and
-        the facets re-sorted, which is the hull ``cls(vertices)`` computes:
-        the forms depend only on the points' affine spans.
-        """
-        pts, d = _validate_vertices(points, ambient_dim)
-        uniq = tuple(sorted(set(pts)))
-        aff, cands = _hull_candidates(uniq, d)
-        index: dict[int, int] = {}
-        for i, vertex in enumerate(_vertex_flags(len(uniq), cands)):
-            if vertex:
-                index[i] = len(index)
-        facets = sorted(((form, tuple([index[i] for i in on if i in index]))
-                         for form, on in cands), key=lambda fc: fc[1])
-        self = cls.__new__(cls)
-        object.__setattr__(self, "vertices", tuple([uniq[i] for i in index]))
-        object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "dim", d - len(aff))
-        self.__dict__["_hull"] = (tuple(aff), tuple(facets))
-        return self
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Polytope)
@@ -291,16 +264,6 @@ class Polytope:
             ))
         return tuple(out)
 
-    def contains(self, pt: Sequence[int]) -> bool:
-        """Exact membership test for a point with int coordinates."""
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in pt):
-            raise TypeError(f"point coordinates must be int, got {pt!r}")
-        if len(pt) != self.ambient_dim:
-            raise ValueError("point dimension mismatch")
-        aff, facets = self._hull
-        return (all(_dot(a, pt) + b == 0 for a, b in aff)
-                and all(_dot(a, pt) + b >= 0 for (a, b), _ in facets))
-
     def is_simple(self) -> bool:
         """True when every vertex lies on exactly dim facets."""
         counts = [0] * len(self.vertices)
@@ -308,14 +271,6 @@ class Polytope:
             for i in f.vertex_set:
                 counts[i] += 1
         return all(c == self.dim for c in counts)
-
-    def dilate(self, k: int) -> "Polytope":
-        """The dilation k*P, k >= 1."""
-        if type(k) is not int or k < 1:
-            raise ValueError("dilation factor must be a positive integer")
-        if k == 1:
-            return self
-        return Polytope([tuple(k * x for x in v) for v in self.vertices], self.ambient_dim)
 
     @cached_property
     def lattice_height_basis(self) -> IntMatrix:

@@ -2,22 +2,26 @@
 
 Everything here favours obviousness over speed: determinants by permutation
 sums, rank and kernels by plain rational elimination, minor gcds by full
-enumeration, facets by trying every subset of dim-many points, vertices by
-the rank of the facets through them, lattice points by scanning the whole
-ambient bounding box, planar hulls by the monotone chain, planar lattice
-point counts by Pick's theorem, normality by the level test at every height
-below the dimension, coordinate products by trying every coordinate subset,
-pyramid peels one apex at a time, facet values form by form and point by
-point, unit chains by a search over every ordered sequence, reports by the
-stdlib's JSON encoder, the check battery with normality decided on every
-polytope, the Segre classification from a rebuilt peel core and factors,
-poset filters and stable sets of graphs by a scan of every subset.
+enumeration, expanded by permutations or, for matrices too large for that,
+one Bareiss determinant per minor, facets by trying every subset of
+dim-many points, vertices by the rank of the facets through them, lattice
+points by scanning the whole ambient bounding box, planar hulls by the
+monotone chain, planar lattice point counts by Pick's theorem, normality by
+the level test at every height below the dimension or by a per-point
+decomposition search up to the dimension, coordinate products by trying
+every coordinate subset, pyramid peels one apex at a time, facet values
+form by form and point by point, unit chains by a search over every ordered
+sequence, reports by the stdlib's JSON encoder, the check battery with
+normality decided on every polytope, the Segre classification from a
+rebuilt peel core and its subset-scan factors, poset filters and stable
+sets of graphs by a scan of every subset.
 None of it shares code with the polyclass internals, except that the
-normality level test takes the points of h*P from the library's slicing
-walk, the stepwise peel reads the library's facet rows, the facet values
-start from the library's facet forms, the eager battery calls the
-library's predicates, and the Segre rebuild calls the library's peel and
-product decomposition.
+Bareiss minors run the library's ``_echelon_int``, the normality level test
+and the decomposition search take the points of h*P from the library's
+slicing walk (the search also tests lattice membership on the library's
+Hermite basis), the stepwise peel reads the library's facet rows, the facet
+values start from the library's facet forms, the eager battery calls the
+library's predicates, and the Segre rebuild calls the library's peel.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from polyclass import (IntMatrix, InvariantViolation, Polytope, class_group, is_compressed,
-                       is_normal, k_number, product_decompose_01, pyramid_peel)
+from polyclass import (IntMatrix, InvariantViolation, Polytope, class_group, in_row_lattice,
+                       is_compressed, is_normal, k_number, pyramid_peel)
+from polyclass.intlinalg import _echelon_int
+from polyclass.polytope import Point, _dot
 
 
 def det_by_permutations(rows: list[list[int]]) -> int:
@@ -69,6 +75,35 @@ def invariant_factors_by_minors(m: IntMatrix) -> tuple[int, ...]:
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def gcd_minors(m: IntMatrix, i: int) -> int:
+    """gcd of all i-by-i minors of ``m`` (0 if they all vanish; 1 for i=0).
+
+    The minors are enumerated at every size, each by Bareiss elimination,
+    so the value never comes from ``snf``: a minor with fewer than i
+    pivots is 0, else its last pivot is +-det.  The running gcd stops
+    early once it reaches 1.
+
+    >>> gcd_minors(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]]), 2)
+    2
+    >>> gcd_minors(IntMatrix.from_rows([[2, 4], [6, 8]]), 1)
+    2
+    """
+    if not 0 <= i <= min(m.rows, m.cols):
+        raise ValueError(f"minor size {i} out of range for {m.rows}x{m.cols} matrix")
+    if i == 0:
+        return 1
+    g = 0
+    for rsel in combinations(range(m.rows), i):
+        picked = [m.entries[r] for r in rsel]
+        for csel in combinations(range(m.cols), i):
+            ech, pivots, _ = _echelon_int([[row[c] for c in csel] for row in picked], i)
+            if len(pivots) == i:
+                g = gcd(g, ech[-1][-1])
+            if g == 1:
+                return 1
+    return g
 
 
 def reduced_row_echelon(rows: list[list[int]], ncols: int):
@@ -285,6 +320,54 @@ def is_normal_by_levels(p) -> bool:
     return True
 
 
+def is_normal_bruteforce(p: Polytope) -> bool:
+    """Independent normality oracle: per-point decomposability search.
+
+    For each height h = 2 .. max(2, dim) (not dim - 1: the extra degree
+    also exercises the height bound the fast path relies on), every point
+    of h*P in the lattice at height h must split off some generator with
+    the remainder decomposable at height h - 1.  Top-down with
+    memoization; intentionally a different algorithm from ``is_normal``.
+    """
+    gens = p.lattice_points
+    gen_set = set(gens)
+    lat = p.lattice_height_basis
+    aff = p.affine_hull_forms
+    ineqs = tuple(form for form, _ in p._hull[1])
+    memo: dict[tuple[Point, int], bool] = {}
+
+    def in_scaled(z: Point, h: int) -> bool:
+        for a, b in aff:
+            if _dot(a, z) + h * b != 0:
+                return False
+        for a, b in ineqs:
+            if _dot(a, z) + h * b < 0:
+                return False
+        return True
+
+    def decomposable(z: Point, h: int) -> bool:
+        if h == 1:
+            return z in gen_set
+        key = (z, h)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        res = False
+        for g in gens:
+            w = tuple(a - b for a, b in zip(z, g))
+            if in_scaled(w, h - 1) and decomposable(w, h - 1):
+                res = True
+                break
+        memo[key] = res
+        return res
+
+    for h in range(2, max(2, p.dim) + 1):
+        for z in p._scaled_lattice_points(h):
+            if in_row_lattice(lat, z + (h,)) and not decomposable(z, h):
+                return False
+    return True
+
+
 def coordinate_blocks_by_subsets(vertices) -> list[list[int]]:
     """Finest splitting of a vertex set into a product over coordinate blocks.
 
@@ -456,23 +539,28 @@ def polytope_checks_eager(p) -> dict[str, bool | None]:
 
 
 def classify_segre_by_rebuild(p):
-    """``(tag, simplex_dims, apex_count)`` of a (0,1)-polytope, from rebuilt polytopes.
+    """``(tag, simplex_dims, apex_count)`` of a (0,1)-polytope, from a rebuilt peel core.
 
     With dim + 2 facets the peel core is built by ``pyramid_peel`` and
-    must be simple with dim + 2 facets, and its factors, built by
-    ``product_decompose_01``, must be two simplices; a failure raises
-    ``InvariantViolation``.  The class group and normality cross-check
-    of ``classify_segre`` is left out.
+    must be simple with dim + 2 facets, and its factors, the projections
+    of its vertices onto the blocks of ``coordinate_blocks_by_subsets``,
+    must be two simplices: e + 1 distinct points spanning dimension e; a
+    failure raises ``InvariantViolation``.  The class group and normality
+    cross-check of ``classify_segre`` is left out.
     """
     if p.dim < 1 or len(p.facets) != p.dim + 2:
         return "NOT_APPLICABLE", None, 0
     core, apexes = pyramid_peel(p)
     if core.dim < 2 or len(core.facets) != core.dim + 2 or not core.is_simple():
         raise InvariantViolation("peel core is not simple with dim + 2 facets")
-    factors = product_decompose_01(core)
-    if len(factors) != 2 or any(len(f.vertices) != f.dim + 1 for f in factors):
+    factors = []
+    for block in coordinate_blocks_by_subsets(core.vertices):
+        proj = sorted({tuple(v[j] for j in block) for v in core.vertices})
+        dim = len(pivot_columns([[a - b for a, b in zip(q, proj[0])] for q in proj], len(block)))
+        factors.append((len(proj), dim))
+    if len(factors) != 2 or any(n != dim + 1 for n, dim in factors):
         raise InvariantViolation("peel core is not a product of two simplices")
-    a, b = sorted(f.dim for f in factors)
+    a, b = sorted(dim for _, dim in factors)
     return "SEGRE", (a, b), apexes
 
 

@@ -23,6 +23,7 @@ from polyclass import (
     simplex,
     stable_set_polytope,
 )
+from polyclass.polytope import _hull_candidates, _vertex_flags
 
 SQUARE_PYRAMID = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
 REEVE_SIMPLEX = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
@@ -37,6 +38,37 @@ BIRKHOFF_B3 = Polytope([tuple(int(s[i] == j) for i in range(3) for j in range(3)
 def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n}: its edge polytope is the product of simplices Δ_{m-1} x Δ_{n-1} in R^{m+n}."""
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
+def two_triangles_bridge(path_length: int = 2) -> Graph:
+    """Two triangles joined by a path of the given length (>= 1).
+
+    With path length 2 the edge polytope of this graph is the standard
+    small example of a non-normal edge polytope.
+    """
+    if path_length < 1:
+        raise ValueError("path length must be at least 1")
+    n = 6 + (path_length - 1)
+    left = [0, 1, 2]
+    right = [n - 3, n - 2, n - 1]
+    edges = [(0, 1), (0, 2), (1, 2),
+             (right[0], right[1]), (right[0], right[2]), (right[1], right[2])]
+    chain = [2] + list(range(3, 3 + path_length - 1)) + [right[0]]
+    edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
+    return Graph(n, edges)
+
+
+def hull_of_points(points) -> Polytope:
+    """conv(points) with the non-vertices dropped.
+
+    The vertices are the points ``_vertex_flags`` keeps after one double
+    description over all of them, as ``polytope._prefix_bounds`` hulls
+    projections that keep non-vertices.
+    """
+    pts = sorted(set(map(tuple, points)))
+    _, cands = _hull_candidates(pts, len(pts[0]))
+    return Polytope([v for v, vertex in zip(pts, _vertex_flags(len(pts), cands)) if vertex],
+                    len(pts[0]))
 
 
 def benchmark_workloads():

@@ -17,19 +17,18 @@ from polyclass import (
     dilate,
     edge_polytope,
     fixture,
-    gcd_minors,
     is_normal,
-    is_normal_bruteforce,
     k_number,
     pyramid,
     random_01_polytopes,
     simplex,
     snf,
-    two_triangles_bridge,
     validate_unit_chain,
     verify_family,
 )
-from support import named_corpus, pyramid_invariance_bases, random_int_matrix
+from oracles import gcd_minors, is_normal_bruteforce
+from support import (named_corpus, pyramid_invariance_bases, random_int_matrix,
+                     two_triangles_bridge)
 
 
 def report(capsys, num, ok, detail, elapsed, budget):

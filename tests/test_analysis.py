@@ -24,26 +24,23 @@ from polyclass import (
     fixture,
     is_compressed,
     is_normal,
-    is_normal_bruteforce,
     k_number,
     polytope_checks,
     product,
-    product_decompose_01,
     pyramid,
     pyramid_peel,
     random_01_polytopes,
     simplex,
-    two_triangles_bridge,
     validate_unit_chain,
     verify_family,
 )
 from polyclass import analysis, cli
 from polyclass.analysis import CheckOutcome
 from oracles import (classify_segre_by_rebuild, coordinate_blocks_by_subsets, facet_rows_by_forms,
-                     is_normal_by_levels, pivot_columns, polytope_checks_eager,
-                     pyramid_peel_stepwise, unit_chain_length_by_search)
+                     is_normal_bruteforce, is_normal_by_levels, pivot_columns,
+                     polytope_checks_eager, pyramid_peel_stepwise, unit_chain_length_by_search)
 from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, complete_bipartite,
-                     named_corpus, pyramid_invariance_bases)
+                     hull_of_points, named_corpus, pyramid_invariance_bases, two_triangles_bridge)
 from test_invariance import unimodular_image, unimodular_images
 
 # Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
@@ -215,7 +212,7 @@ def pyramids_and_products(draw):
     """
     def factor(n: int) -> Polytope:
         box = st.tuples(*[st.integers(0, 3)] * n)
-        f = Polytope.from_points(draw(st.lists(box, min_size=2, max_size=5, unique=True)))
+        f = hull_of_points(draw(st.lists(box, min_size=2, max_size=5, unique=True)))
         if draw(st.booleans()):
             f = Polytope([v + (3 - sum(v),) for v in f.vertices])
         return f
@@ -329,6 +326,56 @@ class TestCoordinateBlocks:
     def test_complete_bipartite_edge_polytopes(self, m):
         for n in range(1, 5):
             self.check(edge_polytope(complete_bipartite(m, n)))
+
+
+def block_factors(p: Polytope) -> list[Polytope]:
+    """The projections of the vertices of ``p`` onto its coordinate blocks."""
+    return [Polytope(sorted({tuple(v[j] for j in coords) for v in p.vertices}))
+            for coords, _ in coordinate_blocks(p)]
+
+
+class TestProductDecomposition:
+    """Products of small polytopes split into their factors; the rest stay whole."""
+
+    @staticmethod
+    def factors(p: Polytope) -> list[Polytope]:
+        TestCoordinateBlocks.check(p)
+        return block_factors(p)
+
+    def test_square_splits_into_segments(self):
+        assert self.factors(cube(2)) == [simplex(1), simplex(1)]
+
+    def test_prism_splits_into_segment_and_triangle(self):
+        assert self.factors(product(simplex(1), simplex(2))) == [simplex(1), simplex(2)]
+
+    def test_triangle_is_indecomposable(self):
+        assert self.factors(simplex(2)) == [simplex(2)]
+
+    def test_cube_splits_fully(self):
+        assert self.factors(cube(3)) == [simplex(1)] * 3
+
+    def test_right_triangle_is_indecomposable(self):
+        p = Polytope([(0, 0), (0, 1), (1, 1)])
+        assert self.factors(p) == [p]
+
+    def test_product_of_two_nine_simplices(self):
+        # 18 varying coordinates: too many for the 2^c subset scan of check.
+        p = product(simplex(9), simplex(9))
+        assert coordinate_blocks(p) == [(list(range(9)), 9), (list(range(9, 18)), 9)]
+        assert block_factors(p) == [simplex(9)] * 2
+
+    def test_segment_in_r20_is_indecomposable(self):
+        # 20 varying coordinates, as above.
+        p = Polytope([(0,) * 20, (1,) * 20])
+        assert coordinate_blocks(p) == [(list(range(20)), 1)]
+        assert block_factors(p) == [p]
+
+    def test_vertex_counts_multiply(self):
+        for p in (cube(4), product(simplex(2), simplex(1)), fixture("EX38")):
+            total = 1
+            for f in self.factors(p):
+                total *= len(f.vertices)
+            assert total == len(p.vertices)
 
 
 class TestSolveLast:
@@ -519,45 +566,6 @@ class TestPyramidPeel:
             # the pyramid has one extra facet, hence exactly one extra
             # trivial factor in the long form
             assert len(cp.full_factors) == len(cb.full_factors) + 1
-
-
-class TestProductDecomposition:
-    def test_square_splits_into_segments(self):
-        factors = product_decompose_01(cube(2))
-        assert factors == [simplex(1), simplex(1)]
-
-    def test_prism_splits_into_segment_and_triangle(self):
-        factors = product_decompose_01(product(simplex(1), simplex(2)))
-        assert factors == [simplex(1), simplex(2)]
-
-    def test_triangle_is_indecomposable(self):
-        assert product_decompose_01(simplex(2)) == [simplex(2)]
-
-    def test_cube_splits_fully(self):
-        assert product_decompose_01(cube(3)) == [simplex(1)] * 3
-
-    def test_right_triangle_is_indecomposable(self):
-        p = Polytope([(0, 0), (0, 1), (1, 1)])
-        assert product_decompose_01(p) == [p]
-
-    def test_rejects_non_01_input(self):
-        with pytest.raises(ValueError):
-            product_decompose_01(dilate(simplex(1), 2))
-
-    def test_product_of_two_nine_simplices(self):
-        assert product_decompose_01(product(simplex(9), simplex(9))) == [simplex(9)] * 2
-
-    def test_segment_in_r20_is_indecomposable(self):
-        p = Polytope([(0,) * 20, (1,) * 20])
-        assert product_decompose_01(p) == [p]
-
-    def test_vertex_counts_multiply(self):
-        for p in (cube(4), product(simplex(2), simplex(1)), fixture("EX38")):
-            factors = product_decompose_01(p)
-            total = 1
-            for f in factors:
-                total *= len(f.vertices)
-            assert total == len(p.vertices)
 
 
 class TestSegreClassification:
@@ -837,7 +845,7 @@ class TestVerifyFamily:
         report = verify_family(p for _, p in named_corpus())
         assert report.ok
         assert report.total == len(named_corpus())
-        assert report.failures() == []
+        assert [o for o in report.outcomes if o.failed] == []
 
     def test_workers_do_not_change_the_outcome(self):
         fam = [p for _, p in named_corpus()]
@@ -886,7 +894,7 @@ class TestVerifyFamily:
                             first_counterexample=None)
         report = VerificationReport(total=2, outcomes=(good, bad))
         assert not report.ok
-        assert report.failures() == [bad]
+        assert [o for o in report.outcomes if o.failed] == [bad]
 
 
 class TestInvariantViolationSurface:

@@ -13,7 +13,6 @@ from polyclass import (
     cube,
     dilate,
     fixture,
-    is_torsionfree,
     product,
     simplex,
 )
@@ -92,7 +91,7 @@ class TestClassGroup:
     def test_unit_square_is_free_of_rank_one(self):
         cg = class_group(cube(2))
         assert (cg.free_rank, cg.torsion) == (1, ())
-        assert is_torsionfree(cube(2))
+        assert class_group(cube(2)).is_torsionfree
 
     def test_simplices_are_trivial(self):
         for n in range(1, 5):
@@ -103,7 +102,7 @@ class TestClassGroup:
 
     def test_dilated_triangle_has_torsion(self):
         assert class_group(dilate(simplex(2), 2)).torsion == (2,)
-        assert not is_torsionfree(dilate(simplex(2), 2))
+        assert not class_group(dilate(simplex(2), 2)).is_torsionfree
 
     def test_dilated_segment_torsion_scales(self):
         for d in (2, 3, 4, 5):

@@ -22,10 +22,9 @@ from polyclass import (
     random_01_polytopes,
     simplex,
     stable_set_polytope,
-    two_triangles_bridge,
 )
 from oracles import filters_by_scan, stable_sets_by_scan
-from support import FOUR_CYCLE, TRIANGLE_GRAPH, named_corpus
+from support import FOUR_CYCLE, TRIANGLE_GRAPH, named_corpus, two_triangles_bridge
 
 
 class TestSimplexAndCube:

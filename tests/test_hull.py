@@ -22,6 +22,7 @@ from polyclass import (
     pyramid,
     simplex,
 )
+from support import hull_of_points
 
 
 def birkhoff(n: int) -> Polytope:
@@ -37,11 +38,18 @@ def zeros_and_values(form, points) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def assert_hull_matches_oracle(points) -> Polytope:
-    """Compare Polytope.from_points(points) with the oracles on points and vertices."""
+    """Compare the hull of ``points`` with the oracles on points and vertices.
+
+    The double description over all the points, which ``_prefix_bounds``
+    runs on projections, is compared first; its forms and incidences must
+    be those the subset scan finds.
+    """
     pts = sorted(set(points))
-    p = Polytope.from_points(pts)
+    p = hull_of_points(pts)
     facets = p._hull[1]
     ref = oracles.hull_facets_by_subsets(pts)
+    assert [(on, form) for form, on in polytope._hull_candidates(pts, len(pts[0]))[1]] == \
+        [(on, form) for on, _, form in ref]
     assert sorted(zeros_and_values(form, pts) for form, _ in facets) == \
         [(on, vals) for on, vals, _ in ref]
     assert list(p.vertices) == oracles.hull_vertices_by_rank(pts, ref)
@@ -152,15 +160,21 @@ class TestHullOracleProperties:
     def test_affine_hull_forms_are_the_kernel_of_the_rows_x_1(self, points):
         d = len(points[0])
         basis = oracles.kernel_basis_by_elimination([list(x) + [1] for x in points], d + 1)
-        assert Polytope.from_points(points).affine_hull_forms == \
+        assert hull_of_points(points).affine_hull_forms == \
             tuple((vec[:d], vec[d]) for vec in basis)
 
     @settings(deadline=None, max_examples=100)
     @given(embedded_generating_sets())
     def test_from_points_builds_the_hull_of_its_vertices(self, points):
-        p = Polytope.from_points(points)
-        q = Polytope(p.vertices, p.ambient_dim)
-        assert (p._hull, p.vertices, p.dim) == (q._hull, q.vertices, q.dim)
+        # The double description over all the points, non-vertices included,
+        # gives the affine hull and facets of the polytope on its vertices.
+        pts = sorted(set(points))
+        aff, cands = polytope._hull_candidates(pts, len(pts[0]))
+        p = hull_of_points(pts)
+        index = {v: i for i, v in enumerate(p.vertices)}
+        on_vertices = sorted((form, tuple(index[pts[i]] for i in on if pts[i] in index))
+                             for form, on in cands)
+        assert (tuple(aff), on_vertices) == (p._hull[0], sorted(p._hull[1]))
 
 
 # A member of the analyze-wide benchmark pool (seed 0), one 0/1 vertex per string.
@@ -192,12 +206,6 @@ class TestHullWork:
                  for module in (polytope, intlinalg)]
         make()
         assert [len(c) for c in calls] == [1, 1]
-
-    def test_from_points_runs_one_double_description(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, polytope, "_hull_candidates")
-        p = Polytope.from_points([(x, y, z) for x in range(3) for y in range(3) for z in range(3)])
-        assert len(calls) == 1 and len(calls[0][0]) == 27
-        assert p == Polytope([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
 
     def test_dim_is_read_off_the_hull(self, monkeypatch):
         p = birkhoff(3)

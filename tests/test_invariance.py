@@ -19,6 +19,7 @@ from polyclass import (
     k_number,
     pyramid_peel,
 )
+from support import hull_of_points
 
 
 def unimodular_image(draw, p: Polytope) -> Polytope:
@@ -45,7 +46,7 @@ def unimodular_images(draw):
     n = draw(st.integers(1, 3))
     box = st.tuples(*[st.integers(0, 2)] * n)
     pts = draw(st.lists(box, min_size=2, max_size=6, unique=True))
-    p = Polytope.from_points(pts)
+    p = hull_of_points(pts)
     return p, unimodular_image(draw, p)
 
 

@@ -24,11 +24,10 @@ from polyclass import (
     product,
     pyramid,
     simplex,
-    two_triangles_bridge,
 )
 from polyclass import cli
 from polyclass.report import _dumps
-from support import benchmark_workloads
+from support import benchmark_workloads, two_triangles_bridge
 
 
 # Strings heavy in what JSON must escape: quotes, backslashes, control
