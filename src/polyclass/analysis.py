@@ -274,7 +274,6 @@ def _level_key(p: Polytope, top: int) -> tuple[list[int], int, int]:
 
 
 class _UnitChain(NamedTuple):
-    k: int
     points: tuple[Point, ...]
     facet_ids: tuple[int, ...]
 
@@ -286,9 +285,13 @@ class UnitChain(_UnitChain):
 
     def __new__(cls, *args, **kwargs) -> UnitChain:
         self = super().__new__(cls, *args, **kwargs)
-        if not (self.k == len(self.points) == len(self.facet_ids)):
+        if len(self.points) != len(self.facet_ids):
             raise ValueError("chain length mismatch")
         return self
+
+    @property
+    def k(self) -> int:
+        return len(self.points)
 
 
 def k_number(p: Polytope) -> UnitChain:
@@ -348,7 +351,6 @@ def k_number(p: Polytope) -> UnitChain:
     dfs((1 << len(pts)) - 1, 0, [])
     del dfs  # a recursive closure is a reference cycle: free its memo now, not at the next gc
     return UnitChain(
-        k=len(best),
         points=tuple(pts[i] for i, _ in best),
         facet_ids=tuple(fid for _, fid in best),
     )
@@ -356,7 +358,7 @@ def k_number(p: Polytope) -> UnitChain:
 
 def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
     """Re-check a chain certificate against the definition, from scratch."""
-    if chain.k != len(chain.points) or chain.k != len(chain.facet_ids):
+    if len(chain.points) != len(chain.facet_ids):
         return False
     if len(set(chain.points)) != chain.k or len(set(chain.facet_ids)) != chain.k:
         return False
@@ -391,7 +393,7 @@ def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
     vertex with dim apexes.  Without apexes the core is P itself.
     """
     core, k, _ = _peel(p)
-    return (Polytope(core, p.ambient_dim) if k else p), k
+    return (Polytope(core) if k else p), k
 
 
 class SegreClassification(NamedTuple):

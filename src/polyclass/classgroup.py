@@ -10,7 +10,7 @@ ring: with F facets and rank r = dim + 1,
 where the s_i are the invariant factors (trivial factors 1 contribute
 nothing).  The group-theoretic reading of the presentation assumes the
 polytope is normal; for a non-normal polytope the same matrix data is
-still well defined and is reported as a formal presentation.
+still well defined, and the report calls it a formal presentation.
 """
 
 from __future__ import annotations
@@ -19,27 +19,14 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import IntMatrix, snf
-from .polytope import Point, Polytope
+from .polytope import Polytope
 
 
-class _ClassMatrix(NamedTuple):
-    matrix: IntMatrix
-    row_labels: tuple[int, ...]        # facet ids, canonical order
-    col_labels: tuple[Point, ...]      # lattice points, lex order
-
-
-class ClassMatrix(_ClassMatrix):
+# A one-field tuple only because perfbench/tracing.py::_count_matrix reads ``res.matrix``.
+class ClassMatrix(NamedTuple):
     """Facet-by-lattice-point matrix of normalized facet values."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ClassMatrix:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.matrix.rows != len(self.row_labels):
-            raise ValueError("row label count mismatch")
-        if self.matrix.cols != len(self.col_labels):
-            raise ValueError("column label count mismatch")
-        return self
+    matrix: IntMatrix
 
 
 def class_matrix(p: Polytope) -> ClassMatrix:
@@ -52,27 +39,16 @@ def class_matrix(p: Polytope) -> ClassMatrix:
     """
     if p.dim < 1:
         raise ValueError("class matrix requires a polytope of dimension >= 1")
-    pts = p.lattice_points
-    return ClassMatrix(
-        matrix=IntMatrix.from_rows([f.row for f in p.facets], len(pts)),
-        row_labels=tuple(f.facet_id for f in p.facets),
-        col_labels=pts,
-    )
+    return ClassMatrix(IntMatrix.from_rows([f.row for f in p.facets], len(p.lattice_points)))
 
 
 class _ClassGroupPresentation(NamedTuple):
     free_rank: int
     full_factors: tuple[int, ...]
-    formal: bool = False
 
 
 class ClassGroupPresentation(_ClassGroupPresentation):
-    """Z^free_rank x Z/s_1 x ... with the trivial factors kept in full_factors.
-
-    ``formal`` is set when the polytope is not known to be normal, in
-    which case the data still presents the cokernel of the class matrix
-    but its interpretation as a divisor class group is not guaranteed.
-    """
+    """Z^free_rank x Z/s_1 x ... with the trivial factors kept in full_factors."""
 
     __slots__ = ()
 
@@ -105,15 +81,12 @@ class ClassGroupPresentation(_ClassGroupPresentation):
         return " x ".join(parts) if parts else "0"
 
 
-def class_group(p: Polytope, *, formal: bool = False) -> ClassGroupPresentation:
+def class_group(p: Polytope) -> ClassGroupPresentation:
     """Divisor class group presentation of the toric ring of ``p``.
 
     The rank of the class matrix must equal dim + 1; anything else
     contradicts the underlying theory and raises InvariantViolation
     rather than returning silently wrong group data.
-
-    ``formal`` marks the presentation as formal-only; the caller decides
-    it from its own normality check (the analysis layer does).
     """
     cm = class_matrix(p)
     res = snf(cm.matrix)
@@ -125,5 +98,4 @@ def class_group(p: Polytope, *, formal: bool = False) -> ClassGroupPresentation:
     return ClassGroupPresentation(
         free_rank=cm.matrix.rows - res.rank,
         full_factors=res.invariant_factors,
-        formal=formal,
     )

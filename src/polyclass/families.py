@@ -21,20 +21,20 @@ def simplex(n: int) -> Polytope:
         raise ValueError("simplex dimension must be nonnegative")
     zero = (0,) * n
     verts = [zero] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return Polytope(verts, n)
+    return Polytope(verts)
 
 
 def cube(n: int) -> Polytope:
     """Unit cube [0,1]^n."""
     if n < 1:
         raise ValueError("cube dimension must be positive")
-    return Polytope(list(iterproduct((0, 1), repeat=n)), n)
+    return Polytope(list(iterproduct((0, 1), repeat=n)))
 
 
 def product(p: Polytope, q: Polytope) -> Polytope:
     """Cartesian product, with p's coordinates first."""
     verts = [u + v for u in p.vertices for v in q.vertices]
-    return Polytope(verts, p.ambient_dim + q.ambient_dim)
+    return Polytope(verts)
 
 
 def pyramid(base: Polytope, lift: int = 1) -> Polytope:
@@ -46,10 +46,9 @@ def pyramid(base: Polytope, lift: int = 1) -> Polytope:
     """
     if type(lift) is not int or lift < 1:
         raise ValueError("lift must be a positive integer")
-    d = base.ambient_dim
     verts = [v + (0,) for v in base.vertices]
-    verts.append((0,) * d + (lift,))
-    return Polytope(verts, d + 1)
+    verts.append((0,) * base.ambient_dim + (lift,))
+    return Polytope(verts)
 
 
 def dilate(p: Polytope, k: int) -> Polytope:
@@ -58,7 +57,7 @@ def dilate(p: Polytope, k: int) -> Polytope:
         raise ValueError("dilation factor must be a positive integer")
     if k == 1:
         return p
-    return Polytope([tuple(k * x for x in v) for v in p.vertices], p.ambient_dim)
+    return Polytope([tuple(k * x for x in v) for v in p.vertices])
 
 
 class Poset:
@@ -151,7 +150,7 @@ def order_polytope(poset: Poset) -> Polytope:
     if poset.n == 0:
         raise ValueError("order polytope needs at least one element")
     verts = [tuple(1 if i in f else 0 for i in range(poset.n)) for f in poset.filters()]
-    return Polytope(verts, poset.n)
+    return Polytope(verts)
 
 
 def stable_set_polytope(graph: Graph) -> Polytope:
@@ -159,7 +158,7 @@ def stable_set_polytope(graph: Graph) -> Polytope:
     if graph.n == 0:
         raise ValueError("stable set polytope needs at least one vertex")
     verts = [tuple(1 if i in s else 0 for i in range(graph.n)) for s in graph.stable_sets()]
-    return Polytope(verts, graph.n)
+    return Polytope(verts)
 
 
 def edge_polytope(graph: Graph) -> Polytope:
@@ -172,7 +171,7 @@ def edge_polytope(graph: Graph) -> Polytope:
         v[a] += 1
         v[b] += 1
         verts.append(tuple(v))
-    return Polytope(verts, graph.n)
+    return Polytope(verts)
 
 
 _FIXTURE_VERTICES: dict[str, list[Point]] = {
@@ -214,7 +213,7 @@ def all_01_polytopes(dim: int) -> Iterator[Polytope]:
     corners = sorted(iterproduct((0, 1), repeat=dim))
     for size in range(dim + 1, len(corners) + 1):
         for sub in combinations(corners, size):
-            p = Polytope(sub, dim)
+            p = Polytope(sub)
             if p.dim == dim:
                 yield p
 
@@ -246,7 +245,7 @@ def _random_01_draws(dim: int, count: int, seed: int) -> Iterator[Polytope]:
         sub = [c for c in corners if rng.random() < 0.5]
         if len(sub) < dim + 1:
             continue
-        p = Polytope(sub, dim)
+        p = Polytope(sub)
         if p.dim == dim:
             drawn += 1
             yield p

@@ -23,7 +23,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 
 class _IntMatrix(NamedTuple):
-    rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
@@ -35,10 +34,8 @@ class IntMatrix(_IntMatrix):
 
     def __new__(cls, *args, **kwargs) -> IntMatrix:
         self = super().__new__(cls, *args, **kwargs)
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
+        if self.cols < 0:
+            raise ValueError("column count must be nonnegative")
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
@@ -47,6 +44,10 @@ class IntMatrix(_IntMatrix):
                     raise TypeError(f"entries must be int, got {v!r}")
         return self
 
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         ents = tuple(tuple(row) for row in rows)
@@ -54,34 +55,34 @@ class IntMatrix(_IntMatrix):
             if not ents:
                 raise ValueError("cannot infer column count of an empty matrix")
             cols = len(ents[0])
-        return cls(len(ents), cols, ents)
+        return cls(cols, ents)
 
 
 class _SnfResult(NamedTuple):
-    rank: int
     invariant_factors: tuple[int, ...]
 
 
 class SnfResult(_SnfResult):
-    """Rank and invariant factors of an integer matrix.
+    """Invariant factors of an integer matrix; ``rank`` is their count.
 
     ``invariant_factors`` are the positive diagonal entries of the Smith
-    normal form; each divides the next and there are exactly ``rank`` of
-    them.
+    normal form, each dividing the next.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> SnfResult:
         self = super().__new__(cls, *args, **kwargs)
-        if len(self.invariant_factors) != self.rank:
-            raise ValueError("factor count must equal rank")
         if any(s < 1 for s in self.invariant_factors):
             raise ValueError("invariant factors must be positive")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
         return self
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
 
 def snf(m: IntMatrix) -> SnfResult:
@@ -101,7 +102,7 @@ def snf(m: IntMatrix) -> SnfResult:
     >>> snf(IntMatrix.from_rows([[2, 0], [0, 4]])).invariant_factors
     (2, 4)
     >>> snf(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    SnfResult(rank=3, invariant_factors=(1, 1, 1))
+    SnfResult(invariant_factors=(1, 1, 1))
     """
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
@@ -155,7 +156,7 @@ def snf(m: IntMatrix) -> SnfResult:
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return SnfResult(rank=len(factors), invariant_factors=tuple(factors))
+    return SnfResult(tuple(factors))
 
 
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):
@@ -316,7 +317,7 @@ def hnf_row_lattice(m: IntMatrix) -> IntMatrix:
             if q:
                 pivots[b] = [u - q * v for u, v in zip(upper, base)]
     rows_out = tuple(tuple(pivots[c]) for c in cols_sorted)
-    return IntMatrix(len(rows_out), m.cols, rows_out)
+    return IntMatrix(m.cols, rows_out)
 
 
 def in_row_lattice(hnf: IntMatrix, vec: Sequence[int]) -> bool:

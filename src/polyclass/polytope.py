@@ -71,8 +71,7 @@ class FacetData(NamedTuple):
     divisor: int
 
 
-def _validate_vertices(points: Iterable[Sequence[int]],
-                       ambient_dim: int | None) -> tuple[list[Point], int]:
+def _validate_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
     pts = []
     for p in points:
         tp = tuple(p)
@@ -82,32 +81,28 @@ def _validate_vertices(points: Iterable[Sequence[int]],
         pts.append(tuple(int(v) for v in tp))
     if not pts:
         raise ValueError("a polytope needs at least one vertex")
-    if ambient_dim is not None and ambient_dim < 0:
-        raise ValueError(f"ambient_dim must be non-negative, got {ambient_dim}")
-    d = ambient_dim if ambient_dim is not None else len(pts[0])
-    for p in pts:
-        if len(p) != d:
-            raise ValueError("all vertices must have the same dimension" if ambient_dim is None
-                             else f"vertex {p} has length {len(p)}, expected {d}")
-    return pts, d
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("all vertices must have the same dimension")
+    return pts
 
 
 class Polytope:
     """Convex hull of integer points, canonicalized to lex-sorted vertices.
 
     The constructor is strict: every supplied point must be an actual
-    vertex of the hull, checked at construction time.  ``dim`` is
-    ``ambient_dim`` minus the number of affine hull equations.
+    vertex of the hull, checked at construction time.  ``ambient_dim`` is
+    the vertices' length, and ``dim`` is it minus the number of affine
+    hull equations.
     """
 
     __slots__ = ("vertices", "ambient_dim", "dim", "__dict__")
 
-    def __init__(self, vertices: Iterable[Sequence[int]], ambient_dim: int | None = None):
-        verts, d = _validate_vertices(vertices, ambient_dim)
+    def __init__(self, vertices: Iterable[Sequence[int]]):
+        verts = _validate_vertices(vertices)
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
         object.__setattr__(self, "vertices", tuple(sorted(verts)))
-        object.__setattr__(self, "ambient_dim", d)
+        object.__setattr__(self, "ambient_dim", len(verts[0]))
         self._hull  # noqa: B018  -- forces the non-vertex check now
 
     def __eq__(self, other: object) -> bool:

@@ -36,7 +36,6 @@ MATRIX_PRINT_LIMIT = 40
 class AnalysisReport(NamedTuple):
     name: str
     polytope: Polytope
-    trivial: bool
     class_group: ClassGroupPresentation | None = None
     class_matrix_rows: tuple[tuple[int, ...], ...] | None = None
     compressed: bool | None = None
@@ -54,14 +53,14 @@ class AnalysisReport(NamedTuple):
             "name": self.name,
             "ambient_dim": p.ambient_dim,
             "dim": p.dim,
-            "trivial": self.trivial,
+            "trivial": p.dim == 0,
             "num_vertices": len(p.vertices),
             "vertices": [list(v) for v in p.vertices],
             "num_lattice_points": len(p.lattice_points),
             "lattice_points": [list(v) for v in p.lattice_points],
             "warnings": list(self.warnings),
         }
-        if self.trivial:
+        if p.dim == 0:
             return out
         out["facets"] = [
             {
@@ -81,7 +80,7 @@ class AnalysisReport(NamedTuple):
             "invariant_factors": list(cg.full_factors),
             "torsion": list(cg.torsion),
             "description": cg.describe(),
-            "formal": cg.formal,
+            "formal": not self.normal,
         }
         out["torsionfree"] = cg.is_torsionfree
         out["compressed"] = self.compressed
@@ -117,7 +116,7 @@ class AnalysisReport(NamedTuple):
         lines.append(f"  dimension         : {p.dim}")
         lines.append(f"  vertices          : {len(p.vertices)}")
         lines.append(f"  lattice points    : {len(p.lattice_points)}")
-        if self.trivial:
+        if p.dim == 0:
             lines.append("  (single point; nothing further to analyze)")
             for w in self.warnings:
                 lines.append(f"  warning: {w}")
@@ -127,7 +126,7 @@ class AnalysisReport(NamedTuple):
         lines.append(f"  simple            : {_yn(self.simple)}")
         lines.append(f"  compressed        : {_yn(self.compressed)}")
         lines.append(f"  normal            : {_yn(self.normal)}")
-        label = "class group" if not cg.formal else "class group (formal)"
+        label = "class group" if self.normal else "class group (formal)"
         lines.append(f"  {label:<18}: {cg.describe()}")
         lines.append(f"  invariant factors : {list(cg.full_factors)}")
         lines.append(f"  unit chain length : {self.unit_chain.k}")
@@ -191,12 +190,12 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
     presentation, with a warning attached.
     """
     if p.dim == 0:
-        return AnalysisReport(name=name, polytope=p, trivial=True)
+        return AnalysisReport(name=name, polytope=p)
     warnings: list[str] = []
     normal = is_normal(p)
     if not normal:
         warnings.append("polytope is not normal; the class group presentation is formal")
-    cg = class_group(p, formal=not normal)
+    cg = class_group(p)
     cm = class_matrix(p)
     chain = k_number(p)
     if not validate_unit_chain(p, chain):
@@ -206,7 +205,6 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
     return AnalysisReport(
         name=name,
         polytope=p,
-        trivial=False,
         class_group=cg,
         class_matrix_rows=cm.matrix.entries,
         compressed=is_compressed(p),

@@ -412,7 +412,7 @@ def pyramid_peel_stepwise(p):
         base = next((f for f in core.facets if len(f.row) - f.row.count(0) == 1), None)
         if base is None:
             break
-        core = Polytope([core.vertices[i] for i in base.vertex_set], core.ambient_dim)
+        core = Polytope([core.vertices[i] for i in base.vertex_set])
         apexes += 1
     return core, apexes
 

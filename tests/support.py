@@ -67,8 +67,7 @@ def hull_of_points(points) -> Polytope:
     """
     pts = sorted(set(map(tuple, points)))
     _, cands = _hull_candidates(pts, len(pts[0]))
-    return Polytope([v for v, vertex in zip(pts, _vertex_flags(len(pts), cands)) if vertex],
-                    len(pts[0]))
+    return Polytope([v for v, vertex in zip(pts, _vertex_flags(len(pts), cands)) if vertex])
 
 
 def benchmark_workloads():

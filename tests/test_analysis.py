@@ -454,30 +454,29 @@ class TestUnitChains:
         p = fixture("P2")
         good = k_number(p)
         # (0, 1) has value 0, not 1, on facet 0
-        assert not validate_unit_chain(p, UnitChain(1, ((0, 1),), good.facet_ids))
+        assert not validate_unit_chain(p, UnitChain(((0, 1),), good.facet_ids))
 
     def test_validation_rejects_repeated_point(self):
         p = cube(2)
-        assert not validate_unit_chain(p, UnitChain(2, ((1, 0), (1, 0)), (0, 1)))
+        assert not validate_unit_chain(p, UnitChain(((1, 0), (1, 0)), (0, 1)))
 
     def test_validation_rejects_point_off_earlier_facets(self):
         p = cube(2)
         good = k_number(p)
         assert good.k == 3
         # swapping the first two points breaks the containment condition
-        swapped = UnitChain(3, (good.points[1], good.points[0], good.points[2]),
-                            good.facet_ids)
+        swapped = UnitChain((good.points[1], good.points[0], good.points[2]), good.facet_ids)
         assert not validate_unit_chain(p, swapped)
 
     def test_chain_constructor_checks_lengths(self):
         with pytest.raises(ValueError):
-            UnitChain(2, ((0, 0),), (0, 1))
+            UnitChain(((0, 0),), (0, 1))
         with pytest.raises(ValueError):
-            UnitChain(1, ((0, 0), (1, 1)), (0,))
+            UnitChain(((0, 0), (1, 1)), (0,))
 
     def test_empty_chain_is_representable_and_valid(self):
         # the chain conditions are vacuous at length zero
-        empty = UnitChain(0, (), ())
+        empty = UnitChain((), ())
         assert validate_unit_chain(cube(2), empty)
 
 

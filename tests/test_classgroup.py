@@ -25,15 +25,16 @@ class TestClassMatrix:
     def test_segment(self):
         cm = class_matrix(SEGMENT_02)
         assert sorted(cm.matrix.entries) == [(0, 1, 2), (2, 1, 0)]
-        assert cm.col_labels == ((0,), (1,), (2,))
-        assert cm.row_labels == (0, 1)
+        assert SEGMENT_02.lattice_points == ((0,), (1,), (2,))
+        assert (cm.matrix.rows, cm.matrix.cols) == (2, len(SEGMENT_02.lattice_points))
 
     def test_unit_segment(self):
         assert sorted(class_matrix(simplex(1)).matrix.entries) == [(0, 1), (1, 0)]
 
     def test_unit_square(self):
         cm = class_matrix(cube(2))
-        assert cm.col_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert cube(2).lattice_points == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert (cm.matrix.rows, cm.matrix.cols) == (4, len(cube(2).lattice_points))
         assert sorted(cm.matrix.entries) == [
             (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
 
@@ -123,25 +124,21 @@ class TestClassGroup:
             assert len(cg.full_factors) == p.dim + 1, name
             assert cg.free_rank == len(p.facets) - (p.dim + 1), name
 
-    def test_formal_flag_passthrough(self):
-        assert class_group(SEGMENT_02).formal is False
-        assert class_group(SEGMENT_02, formal=True).formal is True
-
 
 class TestPresentation:
     def test_describe_trivial(self):
-        assert ClassGroupPresentation(0, (), False).describe() == "0"
+        assert ClassGroupPresentation(0, ()).describe() == "0"
 
     def test_describe_mixed(self):
-        pres = ClassGroupPresentation(2, (1, 2, 6), False)
+        pres = ClassGroupPresentation(2, (1, 2, 6))
         assert pres.torsion == (2, 6)
         assert pres.describe() == "Z^2 x Z/2 x Z/6"
         assert not pres.is_torsionfree
 
     def test_rejects_bad_factor_chain(self):
         with pytest.raises(ValueError):
-            ClassGroupPresentation(0, (3, 2), False)
+            ClassGroupPresentation(0, (3, 2))
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):
-            ClassGroupPresentation(-1, (), False)
+            ClassGroupPresentation(-1, ())

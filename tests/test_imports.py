@@ -1,13 +1,16 @@
 """Every name a package module imports is used in that module, every
 module-level private name the package defines is used somewhere in it, every
-exported name has a caller in the package, and importing the CLI loads none
-of the heavy stdlib modules no computation needs."""
+exported name has a caller in the package, importing the CLI loads none
+of the heavy stdlib modules no computation needs, and the README's library
+example runs."""
 
 from __future__ import annotations
 
 import ast
+import doctest
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,3 +127,14 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     assert heavy.isdisjoint(res["loaded"]), sorted(heavy & set(res["loaded"]))
     assert not res["after_serial"]
     assert res["after_pool"] and res["same"] and res["total"] == 5
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    # doctest.testfile(README) would read the closing fence as expected output.
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", str(README), 0)
+    results = doctest.DocTestRunner().run(test)
+    assert (results.failed, results.attempted) == (0, 5)

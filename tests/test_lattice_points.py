@@ -58,7 +58,7 @@ class TestSlicingOracle:
 
 def walk(p: Polytope):
     """Slices and points of h*P, h = 1..3, of a fresh copy of p (nothing cached)."""
-    q = Polytope(p.vertices, p.ambient_dim)
+    q = Polytope(p.vertices)
     return q._slices, [q._scaled_lattice_points(h) for h in (1, 2, 3)]
 
 
@@ -93,7 +93,7 @@ class TestPrefixMemo:
     def test_memo_stays_bounded(self, pair):
         # Shifted and sheared images are new keys; the memo is not cleared.
         for p in pair:
-            Polytope(p.vertices, p.ambient_dim)._slices
+            Polytope(p.vertices)._slices
         assert polytope._prefix_bounds.cache_info().currsize <= polytope.PREFIX_MEMO_SIZE
 
     def test_evicted_keys_are_rebuilt_alike(self):

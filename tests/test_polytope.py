@@ -33,14 +33,6 @@ class TestConstruction:
             Polytope([(0, 0), (1, 1), (0, 0)])
 
     def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            Polytope([(0, 0), (1,)])
-
-    def test_vertex_length_errors_name_the_vertex(self):
-        with pytest.raises(ValueError, match=r"^vertex \(1, 2\) has length 2, expected 3$"):
-            Polytope([(1, 2)], 3)
-        with pytest.raises(ValueError, match="^ambient_dim must be non-negative, got -1$"):
-            Polytope([(1, 2)], -1)
         with pytest.raises(ValueError, match="^all vertices must have the same dimension$"):
             Polytope([(0, 0), (1,)])
 

@@ -49,7 +49,7 @@ class TestAnalyze:
         assert rep.unit_chain.k == 1
         assert rep.class_group.full_factors == (1, 1, 1)
         assert rep.class_group.describe() == "Z"
-        assert not rep.trivial
+        assert rep.to_dict()["trivial"] is False
 
     def test_five_point_threedim_fixture(self):
         rep = analyze(fixture("EX38"))
@@ -65,14 +65,14 @@ class TestAnalyze:
 
     def test_point_is_trivial(self):
         rep = analyze(Polytope([(5, 5)]), name="pt")
-        assert rep.trivial
+        assert rep.to_dict()["trivial"] is True
         assert rep.class_group is None
         assert rep.unit_chain is None
 
     def test_non_normal_presentation_is_formal_with_warning(self):
         rep = analyze(edge_polytope(two_triangles_bridge()), name="bridge")
         assert rep.normal is False
-        assert rep.class_group.formal is True
+        assert rep.to_dict()["class_group"]["formal"] is True
         assert any("not normal" in w for w in rep.warnings)
 
     def test_segre_only_for_01_polytopes(self):
