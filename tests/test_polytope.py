@@ -33,8 +33,19 @@ class TestConstruction:
             Polytope([(0, 0), (1, 1), (0, 0)])
 
     def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError):
+            Polytope([(0, 0), (1,)])
+
+    def test_vertex_length_errors_name_the_vertex(self):
         with pytest.raises(ValueError, match="^all vertices must have the same dimension$"):
             Polytope([(0, 0), (1,)])
+        with pytest.raises(ValueError, match="^all vertices must have the same dimension$"):
+            Polytope([(1, 2), (0, 0, 0)])
+        with pytest.raises(ValueError, match=r"^point \(1,\) is not a vertex of the hull$"):
+            Polytope([(0,), (1,), (2,)])
+        # the ambient dimension is the vertices' length; it is not passed
+        with pytest.raises(TypeError):
+            Polytope([(1, 2)], 3)
 
     def test_rejects_non_integer_coordinates(self):
         with pytest.raises(TypeError):
