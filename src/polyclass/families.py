@@ -205,7 +205,8 @@ def all_01_polytopes(dim: int) -> Iterator[Polytope]:
 
     Distinct vertex subsets of the cube give distinct polytopes (every
     0/1 point inside the hull of 0/1 points is itself a vertex of the
-    hull), so no further dedup is needed.  Guarded to dim <= 4; the
+    hull: the cube argument in the :mod:`polyclass.polytope` docstring),
+    so no further dedup is needed.  Guarded to dim <= 4; the
     count grows doubly exponentially beyond that.
     """
     if not 1 <= dim <= 4:

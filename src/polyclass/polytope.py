@@ -29,6 +29,13 @@ coordinates so far allows, so no point outside h*P is visited and none
 is re-tested against the facets.  A bounded memo keyed by the projected
 points lets the members of a family share those projections' hulls.  All
 arithmetic is on ``int``.
+
+A (0,1)-polytope needs neither the walk at h = 1 nor the vertex check.
+P lies in the unit cube, whose only lattice points are its corners, and
+a corner in P is an extreme point of P, so it is one of the given points.
+So the lattice points of P are exactly its vertices, and every distinct
+0/1 input point is a vertex.  The slice bounds are then built only when
+a walk at some h >= 2 first needs them.
 """
 
 from __future__ import annotations
@@ -90,7 +97,9 @@ class Polytope:
     """Convex hull of integer points, canonicalized to lex-sorted vertices.
 
     The constructor is strict: every supplied point must be an actual
-    vertex of the hull, checked at construction time.  ``ambient_dim`` is
+    vertex of the hull, checked at construction time unless the points
+    are 0/1 and distinct, which makes them vertices (see the module
+    docstring).  ``ambient_dim`` is
     the vertices' length, and ``dim`` is it minus the number of affine
     hull equations.
     """
@@ -131,9 +140,10 @@ class Polytope:
         some supplied point is not a vertex.
         """
         aff, cands = _hull_candidates(self.vertices, self.ambient_dim)
-        for v, vertex in zip(self.vertices, _vertex_flags(len(self.vertices), cands)):
-            if not vertex:
-                raise ValueError(f"point {v} is not a vertex of the hull")
+        if not self.is_01:  # distinct 0/1 points are all vertices
+            for v, vertex in zip(self.vertices, _vertex_flags(len(self.vertices), cands)):
+                if not vertex:
+                    raise ValueError(f"point {v} is not a vertex of the hull")
         # Set here: perfbench's tracer reads dim before this value is cached.
         object.__setattr__(self, "dim", self.ambient_dim - len(aff))
         return tuple(aff), tuple(cands)
@@ -177,8 +187,12 @@ class Polytope:
         pinned value leaves lo > hi.  So every integer x_j in range extends
         the prefix to a point of h*P_j, and at j = n to a point of h*P: no
         point is re-tested, and the only waste is prefixes whose integer
-        interval is empty.
+        interval is empty.  A (0,1)-polytope at h = 1 takes no walk: its
+        lattice points are its vertices (see the module docstring), which
+        are already in lex order.
         """
+        if h == 1 and self.is_01:
+            return self.vertices
         n = self.ambient_dim
         if n == 0:
             return ((),)

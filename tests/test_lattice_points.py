@@ -1,8 +1,11 @@
-"""Lattice points of h*P by slicing, against the box-scan oracle, closed forms and a cold memo."""
+"""Lattice points of h*P by slicing, against the box-scan oracle, closed forms and a cold memo,
+and the (0,1) shortcut that takes no walk at h = 1."""
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -16,10 +19,12 @@ from polyclass import (
     cube,
     is_normal,
     polytope,
+    polytope_checks,
     random_01_polytopes,
     verify_family,
 )
-from support import named_corpus
+from polyclass.analysis import _normal_height_bound
+from support import benchmark_workloads, named_corpus
 from test_hull import NAMED, birkhoff
 from test_invariance import unimodular_images
 
@@ -129,22 +134,111 @@ class TestPrefixMemoWork:
     """Double descriptions built for prefix projections, counted from a cold memo."""
 
     @staticmethod
-    def count_projection_hulls(monkeypatch, fam):
+    def count_projection_hulls(monkeypatch, fam, run):
         polytope._prefix_bounds.cache_clear()
         calls = test_hull.TestHullWork.count_calls(monkeypatch, polytope, "_hull_candidates")
-        verify_family(fam)
+        run(fam)
         return len(calls)
+
+    @staticmethod
+    def build_slices(fam):
+        for p in fam:
+            p._slices
 
     def test_threedim_sweep_builds_six(self, monkeypatch):
         # 302 prefix projections (151 polytopes, 2 each) on 6 point sets:
         # the segment [0, 1] and the 5 full-dimensional 0/1 sets in R^2.
         fam = list(all_01_polytopes(3))
-        assert self.count_projection_hulls(monkeypatch, fam) == 6
+        assert self.count_projection_hulls(monkeypatch, fam, self.build_slices) == 6
 
     def test_fourdim_samples_build_fifty_five(self, monkeypatch):
         # 300 prefix projections (100 polytopes, 3 each) on 55 point sets.
         fam = list(random_01_polytopes(4, 100, seed=0))
-        assert self.count_projection_hulls(monkeypatch, fam) == 55
+        assert self.count_projection_hulls(monkeypatch, fam, self.build_slices) == 55
+
+    def test_threedim_sweep_verify_builds_two(self, monkeypatch):
+        # Only the 4 members whose is_normal walks some h >= 2 slice.
+        fam = list(all_01_polytopes(3))
+        assert self.count_projection_hulls(monkeypatch, fam, verify_family) == 2
+        assert sum("_slices" in p.__dict__ for p in fam) == 4
+
+    def test_fourdim_samples_verify_build_ten(self, monkeypatch):
+        # Only the 6 members whose is_normal walks some h >= 2 slice.
+        fam = list(random_01_polytopes(4, 100, seed=0))
+        assert self.count_projection_hulls(monkeypatch, fam, verify_family) == 10
+        assert sum("_slices" in p.__dict__ for p in fam) == 6
+
+
+ZERO_ONE = ("cube3-subsets", "r4-samples", "wide-pool")
+
+
+@lru_cache(maxsize=None)
+def zero_one_family(name: str) -> tuple[Polytope, ...]:
+    """Every nonempty subset of {0,1}^3, the seed-0 R^4 samples or the seed-0 wide pool."""
+    if name == "cube3-subsets":
+        corners = list(product((0, 1), repeat=3))
+        return tuple(Polytope(sub) for size in range(1, 9) for sub in combinations(corners, size))
+    if name == "r4-samples":
+        return tuple(random_01_polytopes(4, 100, seed=0))
+    return tuple(Polytope(v) for v in benchmark_workloads().wide_pool(0))
+
+
+def facets_by_double_description(p: Polytope):
+    """``p``'s facets as ``oracles.hull_facets_by_subsets`` lists them, read off ``p._hull``."""
+    return [(on, tuple(sum(c * x for c, x in zip(a, v)) + b for v in p.vertices), (a, b))
+            for (a, b), on in p._hull[1]]
+
+
+class TestZeroOneShortcut:
+    """In the unit cube the lattice points are the corners, and a corner in P is a vertex of P.
+
+    So ``lattice_points`` is ``vertices`` and no input point is checked for
+    being a vertex on 0/1 input.  Each fact is checked against an oracle.
+    """
+
+    @pytest.mark.parametrize("family", ZERO_ONE)
+    def test_lattice_points_are_the_box_scan(self, family):
+        fam = zero_one_family(family)
+        assert len(fam) == {"cube3-subsets": 255, "r4-samples": 100, "wide-pool": 63}[family]
+        for p in fam:
+            assert p.lattice_points == p.vertices == oracles.lattice_points_by_box_scan(p, 1)
+
+    @pytest.mark.parametrize("family", ZERO_ONE)
+    def test_every_point_is_a_vertex(self, family):
+        # The subset-scan hull takes seconds per wide member, so the wide pool's
+        # facets come from the double description (test_hull checks it).
+        for p in zero_one_family(family):
+            pts = list(p.vertices)
+            facets = (facets_by_double_description(p) if family == "wide-pool"
+                      else oracles.hull_facets_by_subsets(pts))
+            assert oracles.hull_vertices_by_rank(pts, facets) == pts
+
+    @pytest.mark.parametrize("family", ZERO_ONE)
+    def test_translate_walks_to_the_vertices(self, family):
+        # The translate by (2, ..., 2) is not 0/1, so its points come from the walk.
+        for p in zero_one_family(family):
+            q = Polytope([tuple(x + 2 for x in v) for v in p.vertices])
+            assert tuple(tuple(x - 2 for x in pt) for pt in q.lattice_points) == p.vertices
+
+
+class TestZeroOneWork:
+    """The slice bounds are built only when some walk at h >= 2 needs them."""
+
+    def test_cube_builds_no_slices(self):
+        p = cube(3)
+        assert _normal_height_bound(p) <= 1
+        p.lattice_points
+        p.facets
+        polytope_checks(p)
+        assert "_slices" not in p.__dict__
+
+    def test_birkhoff_b3_builds_slices_to_walk(self):
+        p = birkhoff(3)
+        assert _normal_height_bound(p) == 3
+        p.lattice_points
+        assert "_slices" not in p.__dict__
+        assert is_normal(p)
+        assert "_slices" in p.__dict__
 
 
 class TestClosedForms:
@@ -158,9 +252,14 @@ class TestWalls:
     """Inputs whose ambient bounding box is far larger than their point set."""
 
     def test_segment_in_thirty_dimensions(self):
-        # Its bounding box has 2^30 points.
+        # Its bounding box has 2^30 points; it is 0/1, so no walk runs.
         p = Polytope([(0,) * 30, (1,) * 30])
         assert p.lattice_points == ((0,) * 30, (1,) * 30)
+
+    def test_long_segment_in_thirty_dimensions(self):
+        # Not 0/1, so the walk runs: its bounding box has 3^30 points.
+        p = Polytope([(0,) * 30, (2,) * 30])
+        assert p.lattice_points == ((0,) * 30, (1,) * 30, (2,) * 30)
 
     def test_birkhoff_b3_is_normal(self):
         # The bounding boxes of 2*B3 and 3*B3 hold 3^9 and 4^9 points.
