@@ -45,7 +45,6 @@ from .families import (
 )
 from .intlinalg import (
     IntMatrix,
-    SnfResult,
     hnf_row_lattice,
     in_row_lattice,
     snf,
@@ -67,7 +66,6 @@ __all__ = [
     "Polytope",
     "Poset",
     "SegreClassification",
-    "SnfResult",
     "UnitChain",
     "VerificationReport",
     "all_01_polytopes",

@@ -68,7 +68,7 @@ def _apexes(p: Polytope) -> dict[int, Point]:
     """
     pts = p.lattice_points
     rest = len(p.vertices) - 1  # implied by the row; compared first as it is cheaper
-    return {f.facet_id: pts[f.row.index(1)] for f in p.facets
+    return {i: pts[f.row.index(1)] for i, f in enumerate(p.facets)
             if len(f.vertex_set) == rest and f.row.count(0) == len(pts) - 1}
 
 
@@ -134,7 +134,7 @@ def _core_factors(p: Polytope, apexes: dict[int, Point]) -> list[tuple[int, int]
     cut out.  It is read off P, and no polytope is built.  A lone factor
     is the core, and a point alone off a facet of P is an apex of P.
     """
-    others = [f for f in p.facets if f.facet_id not in apexes] if apexes else p.facets
+    others = [f for i, f in enumerate(p.facets) if i not in apexes] if apexes else p.facets
     eqs = [a for a, _ in p.affine_hull_forms] + [p.facets[i].int_form[0] for i in apexes]
     blocks = _coordinate_blocks(eqs, [f.int_form[0] for f in others], p.ambient_dim)
     if len(blocks) == 1:
@@ -362,13 +362,13 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
         return False
     if len(set(chain.points)) != chain.k or len(set(chain.facet_ids)) != chain.k:
         return False
-    rows = {f.facet_id: f.row for f in p.facets} if p.dim >= 1 else {}
+    rows = [f.row for f in p.facets] if p.dim >= 1 else []
+    if not all(0 <= fid < len(rows) for fid in chain.facet_ids):
+        return False
     index = {pt: i for i, pt in enumerate(p.lattice_points)}
     for i in range(chain.k):
         j = index.get(chain.points[i])
-        if j is None or chain.facet_ids[i] not in rows:
-            return False
-        if rows[chain.facet_ids[i]][j] != 1:
+        if j is None or rows[chain.facet_ids[i]][j] != 1:
             return False
         for l in range(i):
             if rows[chain.facet_ids[l]][j] != 0:
@@ -504,8 +504,15 @@ class CheckOutcome(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    total: int
     outcomes: tuple[CheckOutcome, ...]
+
+    @property
+    def total(self) -> int:
+        """Polytopes checked: each check gives each one exactly one verdict."""
+        if not self.outcomes:
+            return 0
+        o = self.outcomes[0]
+        return o.passed + o.failed + o.skipped
 
     @property
     def ok(self) -> bool:
@@ -524,7 +531,6 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> 
     """
     counts = {name: [0, 0, 0] for name in CHECK_NAMES}
     first: dict[str, tuple[Polytope, int]] = {}
-    total = 0
     pool = nullcontext()
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -535,7 +541,7 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> 
             checked = zip(items, ex.map(polytope_checks, items))
         else:
             checked = ((p, polytope_checks(p)) for p in polytopes)
-        for p, res in checked:
+        for i, (p, res) in enumerate(checked):
             for name in CHECK_NAMES:
                 v = res[name]
                 if v is None:
@@ -544,9 +550,8 @@ def verify_family(polytopes: Iterable[Polytope], workers: int | None = None) -> 
                     counts[name][0] += 1
                 else:
                     counts[name][1] += 1
-                    first.setdefault(name, (p, total))
-            total += 1
+                    first.setdefault(name, (p, i))
     outcomes = tuple(
         CheckOutcome(name, *counts[name], *first.get(name, (None, None)))
         for name in CHECK_NAMES)
-    return VerificationReport(total=total, outcomes=outcomes)
+    return VerificationReport(outcomes)

@@ -89,13 +89,10 @@ def class_group(p: Polytope) -> ClassGroupPresentation:
     rather than returning silently wrong group data.
     """
     cm = class_matrix(p)
-    res = snf(cm.matrix)
+    factors = snf(cm.matrix)
     expected = p.dim + 1
-    if res.rank != expected:
+    if len(factors) != expected:
         raise InvariantViolation(
-            f"class matrix rank {res.rank} != dim + 1 = {expected} "
+            f"class matrix rank {len(factors)} != dim + 1 = {expected} "
             f"for vertices {list(p.vertices)}")
-    return ClassGroupPresentation(
-        free_rank=cm.matrix.rows - res.rank,
-        full_factors=res.invariant_factors,
-    )
+    return ClassGroupPresentation(free_rank=cm.matrix.rows - expected, full_factors=factors)

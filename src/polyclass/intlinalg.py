@@ -5,7 +5,7 @@ is no floating point, no overflow and no ``Fraction``: eliminations are
 fraction-free.  The module provides the normal forms the rest of the
 package is built on:
 
-* ``snf`` -- Smith normal form invariant factors and rank, by
+* ``snf`` -- the invariant factors of the Smith normal form, by
   diagonalization and a gcd/lcm pass over the diagonal,
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
   by the rows, plus a membership test.
@@ -58,35 +58,10 @@ class IntMatrix(_IntMatrix):
         return cls(cols, ents)
 
 
-class _SnfResult(NamedTuple):
-    invariant_factors: tuple[int, ...]
+def snf(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of ``m``: the positive diagonal of its Smith normal form.
 
-
-class SnfResult(_SnfResult):
-    """Invariant factors of an integer matrix; ``rank`` is their count.
-
-    ``invariant_factors`` are the positive diagonal entries of the Smith
-    normal form, each dividing the next.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SnfResult:
-        self = super().__new__(cls, *args, **kwargs)
-        if any(s < 1 for s in self.invariant_factors):
-            raise ValueError("invariant factors must be positive")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        return self
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-
-def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form of ``m``.
+    Each factor divides the next, and their count is the rank of ``m``.
 
     Row/column elimination with the pivot chosen as the entry of minimal
     nonzero absolute value in the trailing submatrix (ties broken by
@@ -97,12 +72,12 @@ def snf(m: IntMatrix) -> SnfResult:
     by its gcd and lcm makes it one without changing the group (Newman,
     *Integral Matrices*, 1972).
 
-    >>> snf(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]])).invariant_factors
+    >>> snf(IntMatrix.from_rows([[0, 1, 2], [2, 1, 0]]))
     (1, 2)
-    >>> snf(IntMatrix.from_rows([[2, 0], [0, 4]])).invariant_factors
+    >>> snf(IntMatrix.from_rows([[2, 0], [0, 4]]))
     (2, 4)
     >>> snf(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    SnfResult(invariant_factors=(1, 1, 1))
+    (1, 1, 1)
     """
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
@@ -156,7 +131,7 @@ def snf(m: IntMatrix) -> SnfResult:
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return SnfResult(tuple(factors))
+    return tuple(factors)
 
 
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int):

@@ -68,10 +68,10 @@ class FacetData(NamedTuple):
     its values on the lattice points.  ``row[i]`` is the normalized
     value int_form(points[i]) / divisor at the i-th lattice point of the
     parent, in its lex order.  ``vertex_set`` holds indices into the
-    parent's vertex tuple.  An immutable named tuple with no ``__dict__``.
+    parent's vertex tuple.  A facet's id is its index in the parent's
+    ``facets``.  An immutable named tuple with no ``__dict__``.
     """
 
-    facet_id: int
     vertex_set: tuple[int, ...]
     row: tuple[int, ...]
     int_form: Form
@@ -99,28 +99,28 @@ class Polytope:
     The constructor is strict: every supplied point must be an actual
     vertex of the hull, checked at construction time unless the points
     are 0/1 and distinct, which makes them vertices (see the module
-    docstring).  ``ambient_dim`` is
-    the vertices' length, and ``dim`` is it minus the number of affine
-    hull equations.
+    docstring).  ``ambient_dim`` is read off the vertices, as their
+    length, and ``dim`` is it minus the number of affine hull equations.
     """
 
-    __slots__ = ("vertices", "ambient_dim", "dim", "__dict__")
+    __slots__ = ("vertices", "dim", "__dict__")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
         verts = _validate_vertices(vertices)
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
-        object.__setattr__(self, "vertices", tuple(sorted(verts)))
-        object.__setattr__(self, "ambient_dim", len(verts[0]))
+        self.vertices = tuple(sorted(verts))
         self._hull  # noqa: B018  -- forces the non-vertex check now
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Polytope)
-                and self.ambient_dim == other.ambient_dim
-                and self.vertices == other.vertices)
+        return isinstance(other, Polytope) and self.vertices == other.vertices
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.vertices))
+        return hash(self.vertices)
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.vertices[0])
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={list(self.vertices)})"
@@ -145,7 +145,7 @@ class Polytope:
                 if not vertex:
                     raise ValueError(f"point {v} is not a vertex of the hull")
         # Set here: perfbench's tracer reads dim before this value is cached.
-        object.__setattr__(self, "dim", self.ambient_dim - len(aff))
+        self.dim = self.ambient_dim - len(aff)
         return tuple(aff), tuple(cands)
 
     @property
@@ -255,7 +255,7 @@ class Polytope:
         pts = self.lattice_points
         cols = tuple(zip(*pts))
         out = []
-        for fid, (form, vset) in enumerate(raw):
+        for form, vset in raw:
             a, b = form
             row = [b] * len(pts)
             for c, col in zip(a, cols):
@@ -264,13 +264,7 @@ class Polytope:
             g = gcd(*row)
             if g > 1:
                 row = [v // g for v in row]
-            out.append(FacetData(
-                facet_id=fid,
-                vertex_set=vset,
-                row=tuple(row),
-                int_form=form,
-                divisor=g,
-            ))
+            out.append(FacetData(vertex_set=vset, row=tuple(row), int_form=form, divisor=g))
         return tuple(out)
 
     def is_simple(self) -> bool:

@@ -64,14 +64,14 @@ class AnalysisReport(NamedTuple):
             return out
         out["facets"] = [
             {
-                "id": f.facet_id,
+                "id": i,
                 "normal": list(f.int_form[0]),
                 "offset": f.int_form[1],
                 "divisor": f.divisor,
                 "values": list(f.row),
                 "vertex_indices": list(f.vertex_set),
             }
-            for f in p.facets
+            for i, f in enumerate(p.facets)
         ]
         out["class_matrix"] = [list(r) for r in self.class_matrix_rows]
         cg = self.class_group

@@ -460,6 +460,14 @@ class TestUnitChains:
         p = cube(2)
         assert not validate_unit_chain(p, UnitChain(((1, 0), (1, 0)), (0, 1)))
 
+    def test_validation_rejects_facet_ids_out_of_range(self):
+        # A facet id is an index into p.facets: -1 would reach the last one.
+        p = cube(2)
+        pt = p.lattice_points[p.facets[-1].row.index(1)]
+        assert validate_unit_chain(p, UnitChain((pt,), (len(p.facets) - 1,)))
+        for fid in (-1, len(p.facets)):
+            assert not validate_unit_chain(p, UnitChain((pt,), (fid,)))
+
     def test_validation_rejects_point_off_earlier_facets(self):
         p = cube(2)
         good = k_number(p)
@@ -891,7 +899,7 @@ class TestVerifyFamily:
                            first_counterexample=cube(2))
         good = CheckOutcome("unit_chain_factors_one", passed=2, failed=0, skipped=0,
                             first_counterexample=None)
-        report = VerificationReport(total=2, outcomes=(good, bad))
+        report = VerificationReport((good, bad))
         assert not report.ok
         assert [o for o in report.outcomes if o.failed] == [bad]
 

@@ -138,6 +138,12 @@ class TestPresentation:
     def test_rejects_bad_factor_chain(self):
         with pytest.raises(ValueError):
             ClassGroupPresentation(0, (3, 2))
+        with pytest.raises(ValueError):
+            ClassGroupPresentation(0, (4, 2))
+
+    def test_rejects_nonpositive_factor(self):
+        with pytest.raises(ValueError):
+            ClassGroupPresentation(0, (0,))
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):

@@ -149,7 +149,7 @@ class TestFacets:
             for val in raw:
                 g = gcd(g, val)
             target = tuple(val // g for val in raw)
-            hits = [fd.facet_id for fd in p.facets if fd.row == target]
+            hits = [i for i, fd in enumerate(p.facets) if fd.row == target]
             assert len(hits) == 1
             matched.add(hits[0])
         assert len(matched) == 6

@@ -163,7 +163,7 @@ def test_reports_and_checks_read_value_rows_only():
     # A facet carries its values as the aligned row alone, and has no
     # __dict__, so nothing on the analyze and check paths can cache another
     # representation on it.
-    fields = ("facet_id", "vertex_set", "row", "int_form", "divisor")
+    fields = ("vertex_set", "row", "int_form", "divisor")
     named = [(name, fixture(name)) for name in fixture_names()]
     named += [(name, Polytope(v)) for name, v in benchmark_workloads().deep_corpus().items()]
     for name, p in named:

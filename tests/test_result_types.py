@@ -1,4 +1,4 @@
-"""The contract of the ten result types: repr, keyword construction,
+"""The contract of the nine result types: repr, keyword construction,
 defaults, immutability, no per-instance ``__dict__`` and lengths derived
 from the data they count."""
 
@@ -11,19 +11,18 @@ import pytest
 from polyclass import simplex
 from polyclass.analysis import CheckOutcome, SegreClassification, UnitChain, VerificationReport
 from polyclass.classgroup import ClassGroupPresentation, ClassMatrix
-from polyclass.intlinalg import IntMatrix, SnfResult
+from polyclass.intlinalg import IntMatrix
 from polyclass.report import AnalysisReport, analyze
 
 _M = IntMatrix.from_rows([[1, 0], [2, 3]])
 _OUTCOME = CheckOutcome("chain_length_bound", 2, 1, 0, simplex(1), 1)
 
 # (instance, its stored field names in order, its repr).  The derived
-# lengths IntMatrix.rows, SnfResult.rank and UnitChain.k are no fields.
+# values IntMatrix.rows, UnitChain.k and VerificationReport.total are no fields.
 CASES = [
     (_M, ("cols", "entries"), "IntMatrix(cols=2, entries=((1, 0), (2, 3)))"),
-    (SnfResult((1, 3)), ("invariant_factors",), "SnfResult(invariant_factors=(1, 3))"),
-    (simplex(1).facets[0], ("facet_id", "vertex_set", "row", "int_form", "divisor"),
-     "FacetData(facet_id=0, vertex_set=(0,), row=(0, 1), int_form=((1,), 0), divisor=1)"),
+    (simplex(1).facets[0], ("vertex_set", "row", "int_form", "divisor"),
+     "FacetData(vertex_set=(0,), row=(0, 1), int_form=((1,), 0), divisor=1)"),
     (ClassMatrix(_M), ("matrix",),
      "ClassMatrix(matrix=IntMatrix(cols=2, entries=((1, 0), (2, 3))))"),
     (ClassGroupPresentation(1, (1, 2)), ("free_rank", "full_factors"),
@@ -36,8 +35,8 @@ CASES = [
      ("name", "passed", "failed", "skipped", "first_counterexample", "first_index"),
      "CheckOutcome(name='chain_length_bound', passed=2, failed=1, skipped=0, "
      "first_counterexample=Polytope(dim=1, vertices=[(0,), (1,)]), first_index=1)"),
-    (VerificationReport(3, (_OUTCOME,)), ("total", "outcomes"),
-     "VerificationReport(total=3, outcomes=(CheckOutcome(name='chain_length_bound', "
+    (VerificationReport((_OUTCOME,)), ("outcomes",),
+     "VerificationReport(outcomes=(CheckOutcome(name='chain_length_bound', "
      "passed=2, failed=1, skipped=0, first_counterexample=Polytope(dim=1, "
      "vertices=[(0,), (1,)]), first_index=1),))"),
     (analyze(simplex(1), name="segment"),
@@ -77,11 +76,11 @@ def test_immutable_without_a_dict(obj, fields, text):
 
 
 # _replace and _make build through tuple.__new__, past each type's checks,
-# so a length stored beside its data could be left disagreeing with it.
+# so a value stored beside its data could be left disagreeing with it.
 DERIVED = [
     (_M, {"entries": ((1, 2),)}, "rows", 1),
-    (SnfResult((1, 3)), {"invariant_factors": (2, 4, 8)}, "rank", 3),
     (UnitChain(((0, 1),), (3,)), {"points": ((0, 1), (1, 1)), "facet_ids": (3, 4)}, "k", 2),
+    (VerificationReport((_OUTCOME,)), {"outcomes": (_OUTCOME._replace(passed=5),)}, "total", 6),
 ]
 
 
