@@ -19,8 +19,8 @@ This module decides the properties the class-group machinery feeds on:
   distinct facets where each point lies on all earlier facets and has
   value 1 on its own facet; such a chain of length k forces the first
   k invariant factors of the class matrix to be 1,
-* ``pyramid_peel`` -- strips the apexes ``_peel`` reads off P, whose removal
-  provably preserves the class group (all other lattice points on the base),
+* ``pyramid_peel`` -- the vertices left by stripping the apexes of P, whose
+  removal provably preserves the class group (all other lattice points on the base),
 * ``classify_segre`` -- decides from the apexes and core factors of the
   normality bound whether a (0,1)-polytope with dim + 2 facets is, up to
   polynomial extension, a product of two simplices (a Segre product),
@@ -55,8 +55,6 @@ def is_compressed(p: Polytope) -> bool:
     With the gcd normalization in place this is equivalent to the
     nonzero values of each facet forming a one-element set.
     """
-    if p.dim < 1:
-        raise ValueError("compressedness needs dimension >= 1")
     return all(set(f.row) <= {0, 1} for f in p.facets)
 
 
@@ -307,8 +305,6 @@ def k_number(p: Polytope) -> UnitChain:
     is lex, order.  The chain length is capped by dim + 1 and the search
     exits early on reaching the cap.
     """
-    if p.dim < 1:
-        raise ValueError("unit chains need dimension >= 1")
     pts = p.lattice_points
     facets = p.facets
     cap = p.dim + 1
@@ -376,24 +372,18 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
     return True
 
 
-def _peel(p: Polytope) -> tuple[list[Point], int, dict[int, Point]]:
-    """``(core vertices, apex count, apexes)``: :func:`pyramid_peel` building no polytope."""
-    apexes = _apexes(p) if p.dim >= 1 else {}
-    core = [v for v in p.vertices if v not in apexes.values()] or [p.vertices[0]]
-    return core, min(len(apexes), p.dim), apexes
-
-
-def pyramid_peel(p: Polytope) -> tuple[Polytope, int]:
-    """Strip the apexes of P in the lattice-pyramid sense: ``(core, apex count)``.
+def pyramid_peel(p: Polytope) -> tuple[tuple[Point, ...], int]:
+    """Strip the apexes of P in the lattice-pyramid sense: ``(core vertices, apex count)``.
 
     An apex is the only lattice point off some facet, which is then the
     base and carries the same class group data.  The other apexes of P
     are exactly those of the base, so the core is spanned by the vertices
-    that are not apexes; an empty simplex, all apexes, keeps its first
-    vertex with dim apexes.  Without apexes the core is P itself.
+    that are not apexes, in lex order; an empty simplex, all apexes, keeps
+    its first vertex with dim apexes.  A point is its own core.
     """
-    core, k, _ = _peel(p)
-    return (Polytope(core) if k else p), k
+    apexes = _apexes(p).values() if p.dim >= 1 else ()
+    core = tuple(v for v in p.vertices if v not in apexes) or p.vertices[:1]
+    return core, min(len(apexes), p.dim)
 
 
 class SegreClassification(NamedTuple):
@@ -418,7 +408,7 @@ def classify_segre(p: Polytope) -> SegreClassification:
     core is simple with two simplex factors and that the class group is
     Z with the ring normal; any failure of those facts is an invariant
     violation, not a soft negative.  The core and its factors are read off
-    P (:func:`_peel`, :func:`_core_factors`).  A core vertex lies on the k
+    P (:func:`pyramid_peel`, :func:`_core_factors`).  A core vertex lies on the k
     apex facets too, so the core is simple iff each other vertex of P lies
     on dim facets, and a factor of dimension e with e + 1 apexes is a simplex.
     """
@@ -426,13 +416,13 @@ def classify_segre(p: Polytope) -> SegreClassification:
         raise ValueError("classification requires a (0,1)-polytope")
     if p.dim < 1 or len(p.facets) != p.dim + 2:
         return SegreClassification("NOT_APPLICABLE", None, 0)
-    core, k, apexes = _peel(p)
+    core, k = pyramid_peel(p)
     on = Counter(p.vertices[i] for f in p.facets for i in f.vertex_set)  # facets per vertex
     if p.dim - k < 2 or any(on[v] != p.dim for v in core):
         raise InvariantViolation(
             f"peel core of a dim+2-facet polytope is not simple with dim+2 facets: "
             f"core vertices {core}")
-    factors = _core_factors(p, apexes)
+    factors = _core_factors(p, _apexes(p))
     if len(factors) != 2 or any(a != e + 1 for e, a in factors):
         raise InvariantViolation(
             f"peel core did not factor into two simplices: "

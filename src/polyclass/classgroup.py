@@ -37,8 +37,6 @@ def class_matrix(p: Polytope) -> ClassMatrix:
     gcd 1, and each column is nonzero (no lattice point lies on every
     facet).
     """
-    if p.dim < 1:
-        raise ValueError("class matrix requires a polytope of dimension >= 1")
     return ClassMatrix(IntMatrix.from_rows([f.row for f in p.facets], len(p.lattice_points)))
 
 

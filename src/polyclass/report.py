@@ -20,11 +20,11 @@ from typing import Any, NamedTuple
 from .analysis import (
     SegreClassification,
     UnitChain,
-    _peel,
     classify_segre,
     is_compressed,
     is_normal,
     k_number,
+    pyramid_peel,
     validate_unit_chain,
 )
 from .classgroup import ClassGroupPresentation, class_group, class_matrix
@@ -200,7 +200,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
     chain = k_number(p)
     if not validate_unit_chain(p, chain):
         warnings.append("unit chain certificate failed revalidation")
-    core, apexes, _ = _peel(p)
+    core, apexes = pyramid_peel(p)
     segre = classify_segre(p) if p.is_01 else None
     return AnalysisReport(
         name=name,
@@ -211,7 +211,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
         normal=normal,
         simple=p.is_simple(),
         unit_chain=chain,
-        peel_core_vertices=tuple(core),
+        peel_core_vertices=core,
         peel_apexes=apexes,
         segre=segre,
         warnings=tuple(warnings),

@@ -401,7 +401,7 @@ def coordinate_blocks_by_subsets(vertices) -> list[list[int]]:
 
 
 def pyramid_peel_stepwise(p):
-    """Lattice-pyramid apexes peeled one at a time: ``(core, apex count)``.
+    """Lattice-pyramid apexes peeled one at a time: ``(core vertices, apex count)``.
 
     While the core has dimension >= 1, the first of its facets in
     canonical order with one lattice point off it is the base, and the
@@ -414,7 +414,7 @@ def pyramid_peel_stepwise(p):
             break
         core = Polytope([core.vertices[i] for i in base.vertex_set])
         apexes += 1
-    return core, apexes
+    return core.vertices, apexes
 
 
 def facet_rows_by_forms(p) -> list[tuple[int, ...]]:
@@ -541,16 +541,18 @@ def polytope_checks_eager(p) -> dict[str, bool | None]:
 def classify_segre_by_rebuild(p):
     """``(tag, simplex_dims, apex_count)`` of a (0,1)-polytope, from a rebuilt peel core.
 
-    With dim + 2 facets the peel core is built by ``pyramid_peel`` and
-    must be simple with dim + 2 facets, and its factors, the projections
-    of its vertices onto the blocks of ``coordinate_blocks_by_subsets``,
-    must be two simplices: e + 1 distinct points spanning dimension e; a
-    failure raises ``InvariantViolation``.  The class group and normality
-    cross-check of ``classify_segre`` is left out.
+    With dim + 2 facets the peel core is built on the vertices that
+    ``pyramid_peel`` returns and must be simple with dim + 2 facets, and
+    its factors, the projections of its vertices onto the blocks of
+    ``coordinate_blocks_by_subsets``, must be two simplices: e + 1
+    distinct points spanning dimension e; a failure raises
+    ``InvariantViolation``.  The class group and normality cross-check
+    of ``classify_segre`` is left out.
     """
     if p.dim < 1 or len(p.facets) != p.dim + 2:
         return "NOT_APPLICABLE", None, 0
-    core, apexes = pyramid_peel(p)
+    verts, apexes = pyramid_peel(p)
+    core = Polytope(verts)
     if core.dim < 2 or len(core.facets) != core.dim + 2 or not core.is_simple():
         raise InvariantViolation("peel core is not simple with dim + 2 facets")
     factors = []

@@ -70,13 +70,22 @@ def hull_of_points(points) -> Polytope:
     return Polytope([v for v, vertex in zip(pts, _vertex_flags(len(pts), cands)) if vertex])
 
 
-def benchmark_workloads():
-    """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(stem: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_workloads():
+    """The benchmark's input builders (``perfbench/workloads.py``), loaded by path."""
+    return _perfbench_module("workloads")
+
+
+def benchmark_tracing():
+    """The benchmark's span tracer (``perfbench/tracing.py``), loaded by path."""
+    return _perfbench_module("tracing")
 
 
 def random_int_matrix(rng: random.Random, max_rows: int = 8,

@@ -34,13 +34,14 @@ from polyclass import (
     validate_unit_chain,
     verify_family,
 )
-from polyclass import analysis, cli
+from polyclass import analysis, cli, report
 from polyclass.analysis import CheckOutcome
 from oracles import (classify_segre_by_rebuild, coordinate_blocks_by_subsets, facet_rows_by_forms,
                      is_normal_bruteforce, is_normal_by_levels, pivot_columns,
                      polytope_checks_eager, pyramid_peel_stepwise, unit_chain_length_by_search)
-from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_workloads, complete_bipartite,
-                     hull_of_points, named_corpus, pyramid_invariance_bases, two_triangles_bridge)
+from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_tracing, benchmark_workloads,
+                     complete_bipartite, hull_of_points, named_corpus, pyramid_invariance_bases,
+                     two_triangles_bridge)
 from test_invariance import unimodular_image, unimodular_images
 
 # Keeps is_normal_bruteforce, which walks heights up to dim, cheap.
@@ -523,18 +524,18 @@ class TestPyramidPeel:
     def test_square_pyramid(self):
         core, apexes = pyramid_peel(SQUARE_PYRAMID)
         assert apexes == 1
-        assert core == Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert core == Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]).vertices
 
     def test_simplices_peel_to_a_point(self):
         for n in range(1, 5):
             core, apexes = pyramid_peel(simplex(n))
-            assert core.dim == 0
+            assert len(core) == 1
             assert apexes == n
 
     def test_hexagon_does_not_peel(self):
         p = fixture("P1")
         core, apexes = pyramid_peel(p)
-        assert core is p and apexes == 0
+        assert core == p.vertices and apexes == 0
 
     def test_agrees_with_the_stepwise_peel(self):
         from polyclass import all_01_polytopes
@@ -550,8 +551,8 @@ class TestPyramidPeel:
     def assert_report_peels_stepwise(p):
         core, apexes = pyramid_peel_stepwise(p)
         assert analyze(p).to_dict()["pyramid_peel"] == {
-            "apex_count": apexes, "core_dim": core.dim,
-            "core_vertices": [list(v) for v in core.vertices]}, p.vertices
+            "apex_count": apexes, "core_dim": Polytope(core).dim,
+            "core_vertices": [list(v) for v in core]}, p.vertices
 
     def test_report_peel_section_agrees_with_the_stepwise_peel(self):
         corpus = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
@@ -573,6 +574,23 @@ class TestPyramidPeel:
             # the pyramid has one extra facet, hence exactly one extra
             # trivial factor in the long form
             assert len(cp.full_factors) == len(cb.full_factors) + 1
+            core, _ = pyramid_peel(lifted)
+            if len(core) > 1:  # an empty simplex peels to a point, which has no group
+                cc = class_group(Polytope(core))
+                assert (cc.free_rank, cc.torsion) == (cp.free_rank, cp.torsion), base.vertices
+
+    @pytest.mark.parametrize("make, calls", [
+        (lambda: fixture("P1"), 1),
+        (lambda: Polytope(benchmark_workloads().deep_corpus()["pyramid-d2xd2"]), 2),
+    ], ids=["P1", "pyramid-d2xd2"])
+    def test_traced_analyze_opens_peel_spans(self, make, calls):
+        # One span from analyze, and on a (0,1)-polytope with dim + 2
+        # facets one more from classify_segre.
+        p = make()
+        with benchmark_tracing().Tracer().install() as tracer:
+            report.analyze(p)
+        assert tracer.calls["report.analyze"] == 1
+        assert tracer.calls["analysis.peel"] == calls
 
 
 class TestSegreClassification:

@@ -13,6 +13,8 @@ from polyclass import (
     cube,
     dilate,
     fixture,
+    is_compressed,
+    k_number,
     product,
     simplex,
 )
@@ -43,9 +45,11 @@ class TestClassMatrix:
         cm = class_matrix(p)
         assert list(cm.matrix.entries) == oracles.facet_rows_by_forms(p)
 
-    def test_rejects_points(self):
-        with pytest.raises(ValueError):
-            class_matrix(Polytope([(4, 2)]))
+    @pytest.mark.parametrize("fn", [class_matrix, is_compressed, k_number],
+                             ids=lambda fn: fn.__name__)
+    def test_rejects_points(self, fn):
+        with pytest.raises(ValueError, match="has no facets"):
+            fn(Polytope([(4, 2)]))
 
     def test_entry_invariants_across_corpus(self):
         for name, p in named_corpus():

@@ -81,8 +81,7 @@ def test_no_orphaned_private_names():
     assert set(defined) <= used, sorted(f"{defined[n]}: {n}" for n in set(defined) - used)
 
 
-# pyramid_peel has no pipeline caller but the benchmark's tracer wraps it.
-UNCALLED_EXPORTS = {"pyramid_peel", "__version__"}
+UNCALLED_EXPORTS = {"__version__"}
 
 
 def test_every_export_has_a_caller_in_the_package():
