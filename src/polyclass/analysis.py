@@ -295,15 +295,18 @@ class UnitChain(_UnitChain):
 def k_number(p: Polytope) -> UnitChain:
     """Longest unit chain of the polytope, with a witness.
 
-    Depth-first search over (point, facet) choices.  The set of points
-    usable at a state depends only on the set of facets chosen so far
-    (each used point is off its own facet, hence never reusable), so
-    states are memoized on the chosen facet set.  Point sets and facet
-    sets are int bitmasks: bit i of a facet's unit (zero) mask is set
-    when lattice point i has value 1 (0) on it, and a state is the mask
-    of the chosen facet ids.  Points are tried in increasing index, that
-    is lex, order.  The chain length is capped by dim + 1 and the search
-    exits early on reaching the cap.
+    Depth-first search over facet sets.  The set of points usable at a
+    state depends only on the set of facets chosen so far (each used
+    point is off its own facet, hence never reusable), so states are
+    memoized on the chosen facet set.  For the same reason one point per
+    candidate facet suffices: any other unit point of that facet leads
+    to the same next state, already visited with a chain no shorter.
+    The point recorded is the lowest-index, that is lex-first, available
+    point with value 1 on the facet.  Point sets and facet sets are int
+    bitmasks: bit i of a facet's unit (zero) mask is set when lattice
+    point i has value 1 (0) on it, and a state is the mask of the chosen
+    facet ids, tried in increasing id order.  The chain length is capped
+    by dim + 1 and the search exits early on reaching the cap.
     """
     pts = p.lattice_points
     facets = p.facets
@@ -331,17 +334,14 @@ def k_number(p: Polytope) -> UnitChain:
             if not used_fs >> fid & 1:
                 ch = unit[fid] & avail
                 if ch:
-                    cands.append((fid, ch))
+                    cands.append((fid, (ch & -ch).bit_length() - 1))
         if len(chain) + len(cands) <= len(best):
             return False
-        for fid, ch in cands:
-            while ch:
-                low = ch & -ch
-                ch ^= low
-                chain.append((low.bit_length() - 1, fid))
-                if dfs(avail & zero[fid], used_fs | 1 << fid, chain):
-                    return True
-                chain.pop()
+        for fid, i in cands:
+            chain.append((i, fid))
+            if dfs(avail & zero[fid], used_fs | 1 << fid, chain):
+                return True
+            chain.pop()
         return False
 
     dfs((1 << len(pts)) - 1, 0, [])

@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 usage or input error (a bad command line,
 malformed JSON, floats where integers are required, points that are not
 vertices, an input or ``make -o`` file that cannot be opened:
 ``error: <path>: <reason>``),
-2 internal invariant violation or a failed ``verify`` check (either way
-a computed result contradicts the theory).  Validation errors count as
+2 internal invariant violation, such as a unit-chain certificate that
+fails its revalidation, or a failed ``verify`` check (either way a
+computed result contradicts the theory).  Validation errors count as
 bad input only where the input becomes polytopes (``analyze``'s
 ``Polytope``, all of ``make``, the ``verify`` family); any other
 exception propagates with its traceback.

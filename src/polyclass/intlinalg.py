@@ -8,7 +8,7 @@ package is built on:
 * ``snf`` -- the invariant factors of the Smith normal form, by
   diagonalization and a gcd/lcm pass over the diagonal,
 * ``hnf_row_lattice`` -- a Hermite-style basis for the lattice spanned
-  by the rows, plus a membership test.
+  by the rows, by Euclidean row steps, plus a membership test.
 
 ``_echelon_int``, a fraction-free reduced echelon form, is the one rational
 elimination: kernels (``_kernel_of_echelon``), the hull's start rays
@@ -233,21 +233,6 @@ def _adjugate_rays(b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [_primitive([sign * x for x in row[n:]]) for row in ech]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def hnf_row_lattice(m: IntMatrix) -> IntMatrix:
     """Hermite-style basis of the lattice generated by the rows of ``m``.
 
@@ -256,30 +241,33 @@ def hnf_row_lattice(m: IntMatrix) -> IntMatrix:
     column.  Zero input rows are dropped; a rank-0 input yields a
     0-by-cols matrix.
 
+    Each row is reduced by Euclidean row steps against the pivot of its
+    leading column: a lead smaller in absolute value than the pivot's
+    makes the row the pivot, sign made positive, and the old pivot is
+    reduced instead; otherwise the row loses ``row[lead] // pivot[lead]``
+    times the pivot.  A lead with no pivot yet becomes one.  As the
+    Hermite form of a lattice is unique (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4), the result
+    depends on the lattice only.
+
     >>> hnf_row_lattice(IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]])).entries
     ((1, 0), (0, 1))
     >>> hnf_row_lattice(IntMatrix.from_rows([[0, 0]])).entries
     ()
     """
-    pivots: dict[int, list[int]] = {}
-    for row0 in m.entries:
-        row = list(row0)
-        while True:
+    pivots: dict[int, Sequence[int]] = {}
+    for row in m.entries:
+        lead = next((j for j, v in enumerate(row) if v), None)
+        while lead is not None:
+            p = pivots.get(lead)
+            if p is None or abs(row[lead]) < p[lead]:
+                pivots[lead] = row if row[lead] > 0 else [-v for v in row]
+                if p is None:
+                    break
+                row, p = p, pivots[lead]
+            q = row[lead] // p[lead]
+            row = [u - q * v for u, v in zip(row, p)]
             lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                break
-            if lead not in pivots:
-                if row[lead] < 0:
-                    row = [-v for v in row]
-                pivots[lead] = row
-                break
-            p = pivots[lead]
-            g, x, y = _xgcd(p[lead], row[lead])
-            coef_p = p[lead] // g
-            coef_r = row[lead] // g
-            new_p = [x * u + y * v for u, v in zip(p, row)]
-            row = [coef_p * v - coef_r * u for u, v in zip(p, row)]
-            pivots[lead] = new_p
     cols_sorted = sorted(pivots)
     # Reduce entries above each pivot so the basis is canonical.  Pivot
     # columns are swept left to right: reducing at column c only touches
@@ -291,8 +279,7 @@ def hnf_row_lattice(m: IntMatrix) -> IntMatrix:
             q = upper[c] // base[c]
             if q:
                 pivots[b] = [u - q * v for u, v in zip(upper, base)]
-    rows_out = tuple(tuple(pivots[c]) for c in cols_sorted)
-    return IntMatrix(m.cols, rows_out)
+    return IntMatrix(m.cols, tuple(tuple(pivots[c]) for c in cols_sorted))
 
 
 def in_row_lattice(hnf: IntMatrix, vec: Sequence[int]) -> bool:

@@ -28,6 +28,7 @@ from .analysis import (
     validate_unit_chain,
 )
 from .classgroup import ClassGroupPresentation, class_group, class_matrix
+from .errors import InvariantViolation
 from .polytope import Point, Polytope
 
 MATRIX_PRINT_LIMIT = 40
@@ -187,19 +188,17 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
 
     Dimension-0 polytopes get a report marked trivial.  A non-normal
     polytope still gets its class matrix data, flagged as a formal
-    presentation, with a warning attached.
+    presentation, with a warning attached.  A unit chain that fails its
+    revalidation raises :class:`InvariantViolation`.
     """
     if p.dim == 0:
         return AnalysisReport(name=name, polytope=p)
-    warnings: list[str] = []
     normal = is_normal(p)
-    if not normal:
-        warnings.append("polytope is not normal; the class group presentation is formal")
     cg = class_group(p)
     cm = class_matrix(p)
     chain = k_number(p)
     if not validate_unit_chain(p, chain):
-        warnings.append("unit chain certificate failed revalidation")
+        raise InvariantViolation(f"unit chain certificate failed revalidation: {chain}")
     core, apexes = pyramid_peel(p)
     segre = classify_segre(p) if p.is_01 else None
     return AnalysisReport(
@@ -214,5 +213,6 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
         peel_core_vertices=core,
         peel_apexes=apexes,
         segre=segre,
-        warnings=tuple(warnings),
+        warnings=() if normal else (
+            "polytope is not normal; the class group presentation is formal",),
     )

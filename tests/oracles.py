@@ -3,7 +3,8 @@
 Everything here favours obviousness over speed: determinants by permutation
 sums, rank and kernels by plain rational elimination, minor gcds by full
 enumeration, expanded by permutations or, for matrices too large for that,
-one Bareiss determinant per minor, facets by trying every subset of
+one Bareiss determinant per minor, Hermite bases by Bezout (extended
+gcd) steps, facets by trying every subset of
 dim-many points, vertices by the rank of the facets through them, lattice
 points by scanning the whole ambient bounding box, planar hulls by the
 monotone chain, planar lattice point counts by Pick's theorem, normality by
@@ -11,7 +12,8 @@ the level test at every height below the dimension or by a per-point
 decomposition search up to the dimension, coordinate products by trying
 every coordinate subset, pyramid peels one apex at a time, facet values
 form by form and point by point, unit chains by a search over every ordered
-sequence, reports by the stdlib's JSON encoder, the check battery with
+sequence (of points and facets for the length, of facets for the lex-first
+witness), reports by the stdlib's JSON encoder, the check battery with
 normality decided on every polytope, the Segre classification from a
 rebuilt peel core and its subset-scan factors, poset filters and stable
 sets of graphs by a scan of every subset.
@@ -31,8 +33,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from polyclass import (IntMatrix, InvariantViolation, Polytope, class_group, in_row_lattice,
-                       is_compressed, is_normal, k_number, pyramid_peel)
+from polyclass import (IntMatrix, InvariantViolation, Polytope, UnitChain, class_group,
+                       in_row_lattice, is_compressed, is_normal, k_number, pyramid_peel)
 from polyclass.intlinalg import _echelon_int
 from polyclass.polytope import Point, _dot
 
@@ -285,6 +287,60 @@ def lattice_echelon_basis(vectors: list[tuple[int, ...]]) -> list[list[int]]:
     return basis
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: returns (g, x, y) with g = a*x + b*y and g >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        return -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def hnf_by_xgcd(m: IntMatrix) -> IntMatrix:
+    """Hermite basis of the row lattice by Bezout steps, then reduction above the pivots.
+
+    An incoming row whose leading column has a pivot p is combined with
+    it by the extended gcd g of the two leads: the pivot becomes x*p + y*row,
+    with lead g, and the row becomes (p[lead]/g)*row - (row[lead]/g)*p, with
+    lead 0.  Pivots are made positive when first stored, and the entries
+    above each pivot are then reduced into [0, pivot), column by column.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row0 in m.entries:
+        row = list(row0)
+        while True:
+            lead = next((j for j, v in enumerate(row) if v), None)
+            if lead is None:
+                break
+            if lead not in pivots:
+                if row[lead] < 0:
+                    row = [-v for v in row]
+                pivots[lead] = row
+                break
+            p = pivots[lead]
+            g, x, y = _xgcd(p[lead], row[lead])
+            coef_p = p[lead] // g
+            coef_r = row[lead] // g
+            new_p = [x * u + y * v for u, v in zip(p, row)]
+            row = [coef_p * v - coef_r * u for u, v in zip(p, row)]
+            pivots[lead] = new_p
+    cols_sorted = sorted(pivots)
+    for idx, c in enumerate(cols_sorted):
+        base = pivots[c]
+        for b in cols_sorted[:idx]:
+            upper = pivots[b]
+            q = upper[c] // base[c]
+            if q:
+                pivots[b] = [u - q * v for u, v in zip(upper, base)]
+    return IntMatrix(m.cols, tuple(tuple(pivots[c]) for c in cols_sorted))
+
+
 def is_normal_by_levels(p) -> bool:
     """Normality by the level test at every height 2 .. dim - 1, without reduction.
 
@@ -454,6 +510,41 @@ def unit_chain_length_by_search(p) -> int:
         return best
 
     return longest([], list(range(len(p.lattice_points))))
+
+
+def unit_chain_by_search(p) -> UnitChain:
+    """The lex-first longest unit chain, by a search over every ordered facet sequence.
+
+    A sequence extends by a facet not yet used that has a unit point on
+    which every earlier facet of the sequence vanishes; the point paired
+    with it is the lowest-index such point.  Sequences are visited in lex
+    order of their facet ids and only a strictly longer one replaces the
+    best, so the first sequence of the greatest length is kept.  Nothing
+    is memoized.  The search stops at length dim + 1, which no chain
+    exceeds: the values of the chain's facet forms at its points form a
+    triangular matrix with unit diagonal, and the affine functions on
+    aff(P) span a space of dimension dim + 1.
+    """
+    rows = facet_rows_by_forms(p)
+    best: list[tuple[int, int]] = []
+
+    def extend(seq: list[tuple[int, int]], free: list[int]) -> bool:
+        # free: the points with value 0 on every facet of seq.
+        nonlocal best
+        if len(seq) > len(best):
+            best = seq
+        if len(seq) == p.dim + 1:
+            return True
+        used = {f for _, f in seq}
+        for f, row in enumerate(rows):
+            units = [i for i in free if row[i] == 1]
+            if (f not in used and units
+                    and extend(seq + [(units[0], f)], [i for i in free if row[i] == 0])):
+                return True
+        return False
+
+    extend([], list(range(len(p.lattice_points))))
+    return UnitChain(tuple(p.lattice_points[i] for i, _ in best), tuple(f for _, f in best))
 
 
 def convex_hull_2d(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

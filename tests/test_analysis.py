@@ -38,7 +38,8 @@ from polyclass import analysis, cli, report
 from polyclass.analysis import CheckOutcome
 from oracles import (classify_segre_by_rebuild, coordinate_blocks_by_subsets, facet_rows_by_forms,
                      is_normal_bruteforce, is_normal_by_levels, pivot_columns,
-                     polytope_checks_eager, pyramid_peel_stepwise, unit_chain_length_by_search)
+                     polytope_checks_eager, pyramid_peel_stepwise, unit_chain_by_search,
+                     unit_chain_length_by_search)
 from support import (BIRKHOFF_B3, SQUARE_PYRAMID, benchmark_tracing, benchmark_workloads,
                      complete_bipartite, hull_of_points, named_corpus, pyramid_invariance_bases,
                      two_triangles_bridge)
@@ -518,6 +519,16 @@ class TestFacetRowsAndChains:
     def test_fourdim_samples(self):
         for p in random_01_polytopes(4, 100, seed=0):
             self.check(p)
+
+
+def test_unit_chain_is_the_lex_first_longest_facet_sequence():
+    # k_number records one point per facet: the lowest-index available one.
+    deep = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+    corpus = (list(all_01_polytopes(3)) + list(random_01_polytopes(4, 150, seed=3))
+              + [p for _, p in named_corpus() if p.dim >= 1] + [simplex(3), cube(3)]
+              + [p for p in deep if len(p.lattice_points) <= 12])
+    for p in corpus:
+        assert k_number(p) == unit_chain_by_search(p), p.vertices
 
 
 class TestPyramidPeel:

@@ -18,12 +18,13 @@ import oracles
 from oracles import gcd_minors
 from polyclass import (
     IntMatrix,
+    Polytope,
     hnf_row_lattice,
     in_row_lattice,
     snf,
 )
 from polyclass import intlinalg
-from support import random_int_matrix
+from support import benchmark_workloads, named_corpus, random_int_matrix
 
 IDENTITY_3 = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 UNIT_SQUARE_MATRIX = IntMatrix.from_rows([
@@ -49,6 +50,14 @@ def int_matrices(draw, max_rows=6, max_cols=6, bound=9):
     entries = [[draw(st.integers(-bound, bound)) for _ in range(c)]
                for _ in range(r)]
     return IntMatrix.from_rows(entries)
+
+
+@st.composite
+def generator_matrices(draw, max_rows=7, max_cols=6, bound=1000):
+    """Lattice generators: zero rows allowed, down to no rows at all."""
+    c = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * c), max_size=max_rows))
+    return IntMatrix(c, tuple(rows))
 
 
 @st.composite
@@ -327,6 +336,23 @@ class TestRowLattice:
         for c, row in zip(coeffs, m.entries):
             combo = [acc + c * x for acc, x in zip(combo, row)]
         assert in_row_lattice(hnf, combo)
+
+    @settings(deadline=None, max_examples=300)
+    @given(generator_matrices())
+    @example(IntMatrix(3, ()))
+    @example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+    @example(IntMatrix.from_rows([[0, 0], [2, 1], [0, 0], [4, 3]]))
+    @example(IntMatrix.from_rows([[-3, 5, 1], [-7, 0, 2], [0, -4, -6]]))
+    @example(IntMatrix.from_rows([[-1000, 999, -998], [999, -1000, 1000], [-999, 1000, 997]]))
+    @example(IntMatrix.from_rows([[1000, -1000], [-999, 1000], [998, 999], [-1000, -997]]))
+    def test_agrees_with_the_bezout_oracle(self, m):
+        assert hnf_row_lattice(m) == oracles.hnf_by_xgcd(m)
+
+    def test_agrees_with_the_bezout_oracle_on_lattice_point_matrices(self):
+        deep = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+        for p in [p for _, p in named_corpus()] + deep:
+            m = IntMatrix.from_rows([pt + (1,) for pt in p.lattice_points])
+            assert p.lattice_height_basis == oracles.hnf_by_xgcd(m)
 
     @settings(deadline=None)
     @given(int_matrices(max_rows=5, max_cols=5), st.randoms(use_true_random=False))

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from polyclass import (
+    InvariantViolation,
     Polytope,
+    UnitChain,
     all_01_polytopes,
     analyze,
     cube,
@@ -20,12 +22,14 @@ from polyclass import (
     edge_polytope,
     fixture,
     fixture_names,
+    k_number,
     polytope_checks,
     product,
     pyramid,
     simplex,
+    validate_unit_chain,
 )
-from polyclass import cli
+from polyclass import cli, report
 from polyclass.report import _dumps
 from support import benchmark_workloads, two_triangles_bridge
 
@@ -78,6 +82,22 @@ class TestAnalyze:
     def test_segre_only_for_01_polytopes(self):
         assert analyze(fixture("P2")).segre is None
         assert analyze(cube(2)).segre.tag == "SEGRE"
+
+    def test_failed_chain_certificate_is_an_internal_fault(self, monkeypatch, tmp_path, capsys):
+        def wrong_point(p):
+            chain = k_number(p)
+            return UnitChain((p.vertices[0],) + chain.points[1:], chain.facet_ids)
+
+        p = fixture("P1")
+        assert not validate_unit_chain(p, wrong_point(p))
+        monkeypatch.setattr(report, "k_number", wrong_point)
+        with pytest.raises(InvariantViolation, match="unit chain certificate"):
+            analyze(p)
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps({"vertices": [list(v) for v in p.vertices]}))
+        assert cli.main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invariant violation: unit chain certificate")
 
 
 class TestDict:
