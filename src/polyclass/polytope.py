@@ -26,9 +26,12 @@ are read off the facet incidences.  The lattice points of P and of its
 dilations h*P are enumerated by slicing, in lex order: each coordinate
 ranges over the integers the hull of the vertices projected onto the
 coordinates so far allows, so no point outside h*P is visited and none
-is re-tested against the facets.  A bounded memo keyed by the projected
-points lets the members of a family share those projections' hulls.  All
-arithmetic is on ``int``.
+is re-tested against the facets.  The last coordinate's bounds are
+hoisted over the one before it: at each prefix of the first n - 2
+coordinates its forms are summed once, and each value of x_{n-1} then
+adds one term per form that has x_{n-1} in it.  A bounded memo keyed by
+the projected points lets the members of a family share those
+projections' hulls.  All arithmetic is on ``int``.
 
 A (0,1)-polytope needs neither the walk at h = 1 nor the vertex check.
 P lies in the unit cube, whose only lattice points are its corners, and
@@ -163,14 +166,16 @@ class Polytope:
         """Per coordinate j, how conv(vertices projected onto x_1..x_j) bounds x_j.
 
         Entry j is the :func:`_bounds` of that hull: the polytope's own
-        for the last coordinate, else from the bounded memo
-        :func:`_prefix_bounds`, which a family's members share.
+        for the last coordinate, split on x_{n-1} for the walk's inner
+        loop, else from the bounded memo :func:`_prefix_bounds`, which a
+        family's members share.  In R^1 the walk reads no form, so there
+        is no entry.
         """
         n = self.ambient_dim
         out = [_prefix_bounds(tuple(sorted({v[:j + 1] for v in self.vertices})))
                for j in range(n - 1)]
-        if n:
-            out.append(_bounds(*self._hull, n - 1))
+        if n > 1:
+            out.append(_bounds(*self._hull, n - 1, split=True))
         return tuple(out)
 
     def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
@@ -190,17 +195,31 @@ class Polytope:
         interval is empty.  A (0,1)-polytope at h = 1 takes no walk: its
         lattice points are its vertices (see the module docstring), which
         are already in lex order.
+
+        The loop over forms runs for x_1..x_{n-1}; x_{n-1} and x_n share
+        one inner loop.  At each prefix x_1..x_{n-2}, every form of the
+        last entry of ``_slices`` is evaluated once: those with no
+        x_{n-1} term fold, with h times the least and greatest last vertex
+        coordinates, into one constant low and high for x_n, and each
+        other one keeps its partial sum s.  Each x_{n-1} = v then costs
+        one (s + c*v) // a per such form, c its x_{n-1} coefficient.  In
+        R^1 the interval is h times the vertices' and no form is read.
         """
         if h == 1 and self.is_01:
             return self.vertices
         n = self.ambient_dim
         if n == 0:
             return ((),)
+        last = [v[-1] for v in self.vertices]
+        least, most = h * min(last), h * max(last)
+        if n == 1:
+            return tuple([(w,) for w in range(least, most + 1)])
         slices = self._slices
-        last = n - 1
+        fixed_lows, fixed_highs, var_lows, var_highs = slices[-1]
+        k = n - 2
         out: list[Point] = []
-        x = [0] * n
-        top = [0] * n
+        x = [0] * k
+        top = [0] * k
         j = 0
         while True:
             lows, highs = slices[j]
@@ -219,16 +238,58 @@ class Polytope:
                 v = s // a
                 if hi is None or v < hi:
                     hi = v
-            if j == last:
-                prefix = tuple(x[:last])
-                for v in range(lo, hi + 1):
-                    out.append(prefix + (v,))
-            else:
+            if j < k:
                 x[j] = lo
                 top[j] = hi
                 if lo <= hi:
                     j += 1
                     continue
+            else:
+                # The last two coordinates over the prefix x: fold the
+                # x_n forms without an x_{n-1} term into least/most, and
+                # keep each other one's partial sum s and coefficient c.
+                lo_n, hi_n = least, most
+                for terms, b, a in fixed_lows:
+                    s = h * b
+                    for i, c in terms:
+                        s += c * x[i]
+                    v = -(s // a)
+                    if v > lo_n:
+                        lo_n = v
+                for terms, b, a in fixed_highs:
+                    s = h * b
+                    for i, c in terms:
+                        s += c * x[i]
+                    v = s // a
+                    if v < hi_n:
+                        hi_n = v
+                sums_lo = []
+                for terms, b, c, a in var_lows:
+                    s = h * b
+                    for i, ci in terms:
+                        s += ci * x[i]
+                    sums_lo.append((s, c, a))
+                sums_hi = []
+                for terms, b, c, a in var_highs:
+                    s = h * b
+                    for i, ci in terms:
+                        s += ci * x[i]
+                    sums_hi.append((s, c, a))
+                prefix = tuple(x)
+                for v in range(lo, hi + 1):
+                    w_lo = lo_n
+                    for s, c, a in sums_lo:
+                        w = -((s + c * v) // a)
+                        if w > w_lo:
+                            w_lo = w
+                    w_hi = hi_n
+                    for s, c, a in sums_hi:
+                        w = (s + c * v) // a
+                        if w < w_hi:
+                            w_hi = w
+                    pv = prefix + (v,)
+                    for w in range(w_lo, w_hi + 1):
+                        out.append(pv + (w,))
             # Advance the deepest level that still has room.
             j -= 1
             while j >= 0 and x[j] == top[j]:
@@ -356,22 +417,34 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     return aff, sorted(facets, key=lambda fc: fc[1])
 
 
-def _bounds(aff, facets, j: int) -> tuple[tuple, tuple]:
+def _bounds(aff, facets, j: int, split: bool = False) -> tuple[tuple, ...]:
     """(lows, highs): the forms of the hull (aff, facets) in R^(j+1) with x_j in them.
 
     These are the facet forms with a positive and a negative x_j coefficient
     or, when an affine hull equation has x_j in it, it and its negation alone,
     each as (terms, b, a): the nonzero (index, coefficient) pairs on
     x_1..x_{j-1}, the constant, and the x_j coefficient, made positive.
+
+    With ``split`` (j >= 1), each side is split once more on the x_{j-1}
+    term, giving (lows, highs, var_lows, var_highs): a form without one
+    stays in lows or highs as above, and a form with coefficient c != 0
+    on x_{j-1} goes to var_lows or var_highs as (terms, b, c, a), its
+    terms without x_{j-1}.
     """
     eq = next(((a, b) for a, b in aff if a[j]), None)
     forms = ([form for form, _ in facets] if eq is None
              else [eq, (tuple([-c for c in eq[0]]), -eq[1])])
-    lows, highs = [], []
+    lows, highs, var_lows, var_highs = [], [], [], []
     for a, b in forms:
         if a[j]:
             terms = tuple([(i, c) for i, c in enumerate(a[:j]) if c])
-            (lows if a[j] > 0 else highs).append((terms, b, abs(a[j])))
+            if split and a[j - 1]:
+                (var_lows if a[j] > 0 else var_highs).append(
+                    (terms[:-1], b, a[j - 1], abs(a[j])))
+            else:
+                (lows if a[j] > 0 else highs).append((terms, b, abs(a[j])))
+    if split:
+        return tuple(lows), tuple(highs), tuple(var_lows), tuple(var_highs)
     return tuple(lows), tuple(highs)
 
 

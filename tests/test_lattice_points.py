@@ -6,7 +6,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from polyclass import (
     polytope,
     polytope_checks,
     random_01_polytopes,
+    simplex,
     verify_family,
 )
 from polyclass.analysis import _normal_height_bound
@@ -59,6 +60,20 @@ class TestSlicingOracle:
         # Lower-dimensional images, shears and translations of small polytopes.
         for p in pair:
             assert_points_match_oracle(p)
+
+    def test_wide_pool_first_round_at_its_normality_heights(self):
+        # The benchmark's analyze-wide walks h = 2..4 on these 9 members in R^5.
+        for p in zero_one_family("wide-pool")[:9]:
+            assert _normal_height_bound(p) == 4
+            assert_points_match_oracle(p, (2, 3, 4))
+
+    @pytest.mark.parametrize("verts", [
+        [(-3,), (5,)],  # ambient dim 1: the walk runs no last-two-coordinate kernel
+        [(-2, -1), (1, 0), (-1, 2)],  # ambient dim 2: the kernel runs at the empty prefix
+        [(0, 0), (3, 1), (1, 3)],  # x_2 coefficients that are not +-1
+    ], ids=["segment", "triangle", "skew-triangle"])
+    def test_kernel_boundaries(self, verts):
+        assert_points_match_oracle(Polytope(verts))
 
 
 def walk(p: Polytope):
@@ -243,9 +258,17 @@ class TestZeroOneWork:
 
 class TestClosedForms:
     def test_birkhoff_b3_counts_magic_squares(self):
-        # MacMahon: 3x3 magic squares with line sum h number 6, 21, 55.
+        # MacMahon: 3x3 magic squares with line sum h number 6, 21, 55, 120, 231.
+        # B3 spans a 4-space of R^9, so an equation pins its last coordinate.
         p = birkhoff(3)
-        assert [len(p._scaled_lattice_points(h)) for h in (1, 2, 3)] == [6, 21, 55]
+        assert [len(p._scaled_lattice_points(h)) for h in range(1, 6)] == [6, 21, 55, 120, 231]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dilated_simplex_counts(self, n):
+        # h*Delta_n holds C(n + h, n) lattice points.
+        p = simplex(n)
+        assert ([len(p._scaled_lattice_points(h)) for h in range(1, 7)]
+                == [comb(n + h, n) for h in range(1, 7)])
 
 
 class TestWalls:
