@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
@@ -358,7 +358,7 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
         return False
     if len(set(chain.points)) != chain.k or len(set(chain.facet_ids)) != chain.k:
         return False
-    rows = [f.row for f in p.facets] if p.dim >= 1 else []
+    rows = [f.row for f in p.facets]
     if not all(0 <= fid < len(rows) for fid in chain.facet_ids):
         return False
     index = {pt: i for i, pt in enumerate(p.lattice_points)}
@@ -372,33 +372,36 @@ def validate_unit_chain(p: Polytope, chain: UnitChain) -> bool:
     return True
 
 
-def pyramid_peel(p: Polytope) -> tuple[tuple[Point, ...], int]:
-    """Strip the apexes of P in the lattice-pyramid sense: ``(core vertices, apex count)``.
+def pyramid_peel(p: Polytope) -> tuple[Point, ...]:
+    """Strip the apexes of P in the lattice-pyramid sense: the core's vertices.
 
     An apex is the only lattice point off some facet, which is then the
     base and carries the same class group data.  The other apexes of P
     are exactly those of the base, so the core is spanned by the vertices
     that are not apexes, in lex order; an empty simplex, all apexes, keeps
-    its first vertex with dim apexes.  A point is its own core.
+    its first vertex.  A point is its own core.  Each apex is a vertex, so
+    the apex count is ``len(p.vertices) - len(core)`` (dim for an empty simplex).
     """
     apexes = _apexes(p).values() if p.dim >= 1 else ()
-    core = tuple(v for v in p.vertices if v not in apexes) or p.vertices[:1]
-    return core, min(len(apexes), p.dim)
+    return tuple(v for v in p.vertices if v not in apexes) or p.vertices[:1]
 
 
 class SegreClassification(NamedTuple):
     """Outcome of the dim+2-facet classification of a (0,1)-polytope.
 
-    ``tag`` is SEGRE when the polytope peels to a product of exactly two
-    simplices of dimensions ``simplex_dims`` after removing
-    ``apex_count`` pyramid apexes (each apex is a polynomial variable
-    adjoined to the Segre product); NOT_APPLICABLE when the facet count
-    is not dim + 2.
+    The polytope peels to a product of exactly two simplices of
+    dimensions ``simplex_dims`` after removing ``apex_count`` pyramid
+    apexes (each apex is a polynomial variable adjoined to the Segre
+    product); ``simplex_dims`` is None when the facet count is not dim + 2.
     """
 
-    tag: Literal["SEGRE", "NOT_APPLICABLE"]
     simplex_dims: tuple[int, int] | None
     apex_count: int
+
+    @property
+    def tag(self) -> str:
+        """SEGRE when ``simplex_dims`` is set, else NOT_APPLICABLE."""
+        return "NOT_APPLICABLE" if self.simplex_dims is None else "SEGRE"
 
 
 def classify_segre(p: Polytope) -> SegreClassification:
@@ -415,8 +418,9 @@ def classify_segre(p: Polytope) -> SegreClassification:
     if not p.is_01:
         raise ValueError("classification requires a (0,1)-polytope")
     if p.dim < 1 or len(p.facets) != p.dim + 2:
-        return SegreClassification("NOT_APPLICABLE", None, 0)
-    core, k = pyramid_peel(p)
+        return SegreClassification(None, 0)
+    core = pyramid_peel(p)
+    k = len(p.vertices) - len(core)
     on = Counter(p.vertices[i] for f in p.facets for i in f.vertex_set)  # facets per vertex
     if p.dim - k < 2 or any(on[v] != p.dim for v in core):
         raise InvariantViolation(
@@ -433,7 +437,7 @@ def classify_segre(p: Polytope) -> SegreClassification:
         raise InvariantViolation(
             f"classified polytope should have class group Z and be normal, got "
             f"rank {cg.free_rank}, torsion {cg.torsion}")
-    return SegreClassification("SEGRE", (dims[0], dims[1]), k)
+    return SegreClassification((dims[0], dims[1]), k)
 
 
 CHECK_NAMES = (

@@ -3,9 +3,10 @@
 ``analyze`` runs the whole pipeline (facets, lattice points, class
 matrix, class group, compressedness, normality, unit chain, pyramid
 peeling, Segre classification when applicable) and returns an
-:class:`AnalysisReport`, an immutable named tuple that renders either as
-aligned text or as canonical JSON, and builds no polytope: the peel core
-is the vertices that are not apexes, of dimension dim - (apex count).
+:class:`AnalysisReport`, an immutable named tuple whose ``to_dict``
+decides each fact it shows once: the aligned text is formatted from that
+dict, and the canonical JSON is its dump.  It builds no polytope: the peel
+core is the vertices that are not apexes, of dimension dim - (apex count).
 The JSON form is deterministic byte for byte: all orders are canonical
 and keys are sorted.  The bytes are exactly those of ``json.dumps(indent=2,
 sort_keys=True)``, produced by a dedicated emitter.
@@ -44,9 +45,7 @@ class AnalysisReport(NamedTuple):
     simple: bool | None = None
     unit_chain: UnitChain | None = None
     peel_core_vertices: tuple[Point, ...] | None = None
-    peel_apexes: int | None = None
     segre: SegreClassification | None = None
-    warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         p = self.polytope
@@ -59,7 +58,8 @@ class AnalysisReport(NamedTuple):
             "vertices": [list(v) for v in p.vertices],
             "num_lattice_points": len(p.lattice_points),
             "lattice_points": [list(v) for v in p.lattice_points],
-            "warnings": list(self.warnings),
+            "warnings": (["polytope is not normal; the class group presentation is formal"]
+                         if self.normal is False else []),
         }
         if p.dim == 0:
             return out
@@ -92,9 +92,10 @@ class AnalysisReport(NamedTuple):
             "points": [list(v) for v in self.unit_chain.points],
             "facet_ids": list(self.unit_chain.facet_ids),
         }
+        apexes = len(p.vertices) - len(self.peel_core_vertices)
         out["pyramid_peel"] = {
-            "apex_count": self.peel_apexes,
-            "core_dim": p.dim - self.peel_apexes,
+            "apex_count": apexes,
+            "core_dim": p.dim - apexes,
             "core_vertices": [list(v) for v in self.peel_core_vertices],
         }
         out["segre"] = None
@@ -111,45 +112,42 @@ class AnalysisReport(NamedTuple):
         return _dumps(self.to_dict(), "\n") + "\n"
 
     def render_text(self) -> str:
-        p = self.polytope
-        lines = [f"polytope {self.name}"]
-        lines.append(f"  ambient dimension : {p.ambient_dim}")
-        lines.append(f"  dimension         : {p.dim}")
-        lines.append(f"  vertices          : {len(p.vertices)}")
-        lines.append(f"  lattice points    : {len(p.lattice_points)}")
-        if p.dim == 0:
+        d = self.to_dict()
+        lines = [f"polytope {d['name']}",
+                 f"  ambient dimension : {d['ambient_dim']}",
+                 f"  dimension         : {d['dim']}",
+                 f"  vertices          : {d['num_vertices']}",
+                 f"  lattice points    : {d['num_lattice_points']}"]
+        if d["trivial"]:
             lines.append("  (single point; nothing further to analyze)")
-            for w in self.warnings:
-                lines.append(f"  warning: {w}")
-            return "\n".join(lines) + "\n"
-        cg = self.class_group
-        lines.append(f"  facets            : {len(p.facets)}")
-        lines.append(f"  simple            : {_yn(self.simple)}")
-        lines.append(f"  compressed        : {_yn(self.compressed)}")
-        lines.append(f"  normal            : {_yn(self.normal)}")
-        label = "class group" if self.normal else "class group (formal)"
-        lines.append(f"  {label:<18}: {cg.describe()}")
-        lines.append(f"  invariant factors : {list(cg.full_factors)}")
-        lines.append(f"  unit chain length : {self.unit_chain.k}")
-        if self.unit_chain.k:
-            lines.append(f"    chain points    : {[list(v) for v in self.unit_chain.points]}")
-            lines.append(f"    chain facets    : {list(self.unit_chain.facet_ids)}")
-        lines.append(f"  pyramid apexes    : {self.peel_apexes} "
-                     f"(core dim {p.dim - self.peel_apexes})")
-        if self.segre is not None:
-            if self.segre.tag == "SEGRE":
-                a, b = self.segre.simplex_dims
-                lines.append(f"  segre structure   : simplices ({a}, {b}), "
-                             f"{self.segre.apex_count} polynomial variable(s) adjoined")
-            else:
-                lines.append("  segre structure   : not applicable "
-                             "(facet count is not dim + 2)")
-        if len(p.lattice_points) <= MATRIX_PRINT_LIMIT:
-            lines.append("  class matrix (facets x lattice points):")
-            for row in self.class_matrix_rows:
-                lines.append("    " + " ".join(f"{v:>3}" for v in row))
-        for w in self.warnings:
-            lines.append(f"  warning: {w}")
+        else:
+            cg, chain, segre = d["class_group"], d["unit_chain"], d["segre"]
+            label = "class group (formal)" if cg["formal"] else "class group"
+            lines += [f"  facets            : {len(d['facets'])}",
+                      f"  simple            : {_yn(d['simple'])}",
+                      f"  compressed        : {_yn(d['compressed'])}",
+                      f"  normal            : {_yn(d['normal'])}",
+                      f"  {label:<18}: {cg['description']}",
+                      f"  invariant factors : {cg['invariant_factors']}",
+                      f"  unit chain length : {chain['k']}"]
+            if chain["k"]:
+                lines.append(f"    chain points    : {chain['points']}")
+                lines.append(f"    chain facets    : {chain['facet_ids']}")
+            lines.append(f"  pyramid apexes    : {d['pyramid_peel']['apex_count']} "
+                         f"(core dim {d['pyramid_peel']['core_dim']})")
+            if segre is not None:
+                if segre["tag"] == "SEGRE":
+                    a, b = segre["simplex_dims"]
+                    lines.append(f"  segre structure   : simplices ({a}, {b}), "
+                                 f"{segre['apex_count']} polynomial variable(s) adjoined")
+                else:
+                    lines.append("  segre structure   : not applicable "
+                                 "(facet count is not dim + 2)")
+            if d["num_lattice_points"] <= MATRIX_PRINT_LIMIT:
+                lines.append("  class matrix (facets x lattice points):")
+                for row in d["class_matrix"]:
+                    lines.append("    " + " ".join(f"{v:>3}" for v in row))
+        lines += [f"  warning: {w}" for w in d["warnings"]]
         return "\n".join(lines) + "\n"
 
 
@@ -199,7 +197,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
     chain = k_number(p)
     if not validate_unit_chain(p, chain):
         raise InvariantViolation(f"unit chain certificate failed revalidation: {chain}")
-    core, apexes = pyramid_peel(p)
+    core = pyramid_peel(p)
     segre = classify_segre(p) if p.is_01 else None
     return AnalysisReport(
         name=name,
@@ -211,8 +209,5 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
         simple=p.is_simple(),
         unit_chain=chain,
         peel_core_vertices=core,
-        peel_apexes=apexes,
         segre=segre,
-        warnings=() if normal else (
-            "polytope is not normal; the class group presentation is formal",),
     )

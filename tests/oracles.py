@@ -32,6 +32,7 @@ import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from polyclass import (IntMatrix, InvariantViolation, Polytope, UnitChain, class_group,
                        in_row_lattice, is_compressed, is_normal, k_number, pyramid_peel)
@@ -629,8 +630,14 @@ def polytope_checks_eager(p) -> dict[str, bool | None]:
     return res
 
 
+class SegreOutcome(NamedTuple):
+    tag: str
+    simplex_dims: tuple[int, int] | None
+    apex_count: int
+
+
 def classify_segre_by_rebuild(p):
-    """``(tag, simplex_dims, apex_count)`` of a (0,1)-polytope, from a rebuilt peel core.
+    """``SegreOutcome`` of a (0,1)-polytope, from a rebuilt peel core.
 
     With dim + 2 facets the peel core is built on the vertices that
     ``pyramid_peel`` returns and must be simple with dim + 2 facets, and
@@ -641,8 +648,8 @@ def classify_segre_by_rebuild(p):
     of ``classify_segre`` is left out.
     """
     if p.dim < 1 or len(p.facets) != p.dim + 2:
-        return "NOT_APPLICABLE", None, 0
-    verts, apexes = pyramid_peel(p)
+        return SegreOutcome("NOT_APPLICABLE", None, 0)
+    verts = pyramid_peel(p)
     core = Polytope(verts)
     if core.dim < 2 or len(core.facets) != core.dim + 2 or not core.is_simple():
         raise InvariantViolation("peel core is not simple with dim + 2 facets")
@@ -654,7 +661,7 @@ def classify_segre_by_rebuild(p):
     if len(factors) != 2 or any(n != dim + 1 for n, dim in factors):
         raise InvariantViolation("peel core is not a product of two simplices")
     a, b = sorted(dim for _, dim in factors)
-    return "SEGRE", (a, b), apexes
+    return SegreOutcome("SEGRE", (a, b), len(p.vertices) - len(verts))
 
 
 def _subsets_by_scan(n: int, keep) -> list[frozenset[int]]:

@@ -489,6 +489,12 @@ class TestUnitChains:
         empty = UnitChain((), ())
         assert validate_unit_chain(cube(2), empty)
 
+    @pytest.mark.parametrize("chain", [UnitChain((), ()), UnitChain(((4, 2),), (0,))],
+                             ids=["empty", "one-point"])
+    def test_validation_refuses_a_point(self, chain):
+        with pytest.raises(ValueError, match="has no facets"):
+            validate_unit_chain(Polytope([(4, 2)]), chain)
+
 
 class TestFacetRowsAndChains:
     """Value rows and unit-chain lengths against the point-by-point oracles.
@@ -531,32 +537,39 @@ def test_unit_chain_is_the_lex_first_longest_facet_sequence():
         assert k_number(p) == unit_chain_by_search(p), p.vertices
 
 
+def peel_with_count(p):
+    """``(core vertices, apex count)`` of ``pyramid_peel``, the count read off the core."""
+    core = pyramid_peel(p)
+    return core, len(p.vertices) - len(core)
+
+
 class TestPyramidPeel:
     def test_square_pyramid(self):
-        core, apexes = pyramid_peel(SQUARE_PYRAMID)
+        core, apexes = peel_with_count(SQUARE_PYRAMID)
         assert apexes == 1
         assert core == Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]).vertices
 
     def test_simplices_peel_to_a_point(self):
         for n in range(1, 5):
-            core, apexes = pyramid_peel(simplex(n))
+            core, apexes = peel_with_count(simplex(n))
             assert len(core) == 1
             assert apexes == n
+            assert (core, apexes) == pyramid_peel_stepwise(simplex(n))
 
     def test_hexagon_does_not_peel(self):
         p = fixture("P1")
-        core, apexes = pyramid_peel(p)
+        core, apexes = peel_with_count(p)
         assert core == p.vertices and apexes == 0
 
     def test_agrees_with_the_stepwise_peel(self):
         from polyclass import all_01_polytopes
         for p in list(all_01_polytopes(3)) + [p for _, p in named_corpus()]:
-            assert pyramid_peel(p) == pyramid_peel_stepwise(p), p.vertices
+            assert peel_with_count(p) == pyramid_peel_stepwise(p), p.vertices
 
     @settings(deadline=None, max_examples=100)
     @given(pyramids_and_products())
     def test_agrees_with_the_stepwise_peel_on_pyramids_and_products(self, p):
-        assert pyramid_peel(p) == pyramid_peel_stepwise(p), p.vertices
+        assert peel_with_count(p) == pyramid_peel_stepwise(p), p.vertices
 
     @staticmethod
     def assert_report_peels_stepwise(p):
@@ -585,7 +598,7 @@ class TestPyramidPeel:
             # the pyramid has one extra facet, hence exactly one extra
             # trivial factor in the long form
             assert len(cp.full_factors) == len(cb.full_factors) + 1
-            core, _ = pyramid_peel(lifted)
+            core = pyramid_peel(lifted)
             if len(core) > 1:  # an empty simplex peels to a point, which has no group
                 cc = class_group(Polytope(core))
                 assert (cc.free_rank, cc.torsion) == (cp.free_rank, cp.torsion), base.vertices
@@ -695,7 +708,7 @@ def segre_outcome(classify, p):
         c = classify(p)
     except InvariantViolation:
         return "violation"
-    return c if isinstance(c, tuple) else (c.tag, c.simplex_dims, c.apex_count)
+    return c.tag, c.simplex_dims, c.apex_count
 
 
 class TestSegreOracle:
@@ -758,7 +771,7 @@ class TestSegreBuildsNoPolytope:
     def test_analyze_builds_none(self, built, make, apexes):
         p = make()
         built[0] = 0
-        assert analyze(p).peel_apexes == apexes
+        assert analyze(p).to_dict()["pyramid_peel"]["apex_count"] == apexes
         assert built[0] == 0
 
     @pytest.mark.parametrize("make", [

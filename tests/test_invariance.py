@@ -54,7 +54,7 @@ def invariants(p: Polytope):
     group = class_group(p)
     return (p.dim, len(p.vertices), len(p.lattice_points), group.full_factors,
             group.free_rank, is_normal(p), is_compressed(p), k_number(p).k,
-            len(p.facets), p.is_simple(), pyramid_peel(p)[1])
+            len(p.facets), p.is_simple(), len(p.vertices) - len(pyramid_peel(p)))
 
 
 @settings(deadline=None, max_examples=150)

@@ -70,6 +70,7 @@ class TestAnalyze:
     def test_point_is_trivial(self):
         rep = analyze(Polytope([(5, 5)]), name="pt")
         assert rep.to_dict()["trivial"] is True
+        assert rep.to_dict()["warnings"] == []
         assert rep.class_group is None
         assert rep.unit_chain is None
 
@@ -77,7 +78,7 @@ class TestAnalyze:
         rep = analyze(edge_polytope(two_triangles_bridge()), name="bridge")
         assert rep.normal is False
         assert rep.to_dict()["class_group"]["formal"] is True
-        assert any("not normal" in w for w in rep.warnings)
+        assert any("not normal" in w for w in rep.to_dict()["warnings"])
 
     def test_segre_only_for_01_polytopes(self):
         assert analyze(fixture("P2")).segre is None

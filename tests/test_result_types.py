@@ -17,8 +17,9 @@ from polyclass.report import AnalysisReport, analyze
 _M = IntMatrix.from_rows([[1, 0], [2, 3]])
 _OUTCOME = CheckOutcome("chain_length_bound", 2, 1, 0, simplex(1), 1)
 
-# (instance, its stored field names in order, its repr).  The derived
-# values IntMatrix.rows, UnitChain.k and VerificationReport.total are no fields.
+# (instance, its stored field names in order, its repr).  The derived values
+# IntMatrix.rows, UnitChain.k, VerificationReport.total and SegreClassification.tag
+# are no fields.
 CASES = [
     (_M, ("cols", "entries"), "IntMatrix(cols=2, entries=((1, 0), (2, 3)))"),
     (simplex(1).facets[0], ("vertex_set", "row", "int_form", "divisor"),
@@ -29,8 +30,8 @@ CASES = [
      "ClassGroupPresentation(free_rank=1, full_factors=(1, 2))"),
     (UnitChain(((0, 1),), (3,)), ("points", "facet_ids"),
      "UnitChain(points=((0, 1),), facet_ids=(3,))"),
-    (SegreClassification("SEGRE", (1, 2), 1), ("tag", "simplex_dims", "apex_count"),
-     "SegreClassification(tag='SEGRE', simplex_dims=(1, 2), apex_count=1)"),
+    (SegreClassification((1, 2), 1), ("simplex_dims", "apex_count"),
+     "SegreClassification(simplex_dims=(1, 2), apex_count=1)"),
     (_OUTCOME,
      ("name", "passed", "failed", "skipped", "first_counterexample", "first_index"),
      "CheckOutcome(name='chain_length_bound', passed=2, failed=1, skipped=0, "
@@ -41,13 +42,13 @@ CASES = [
      "vertices=[(0,), (1,)]), first_index=1),))"),
     (analyze(simplex(1), name="segment"),
      ("name", "polytope", "class_group", "class_matrix_rows", "compressed", "normal",
-      "simple", "unit_chain", "peel_core_vertices", "peel_apexes", "segre", "warnings"),
+      "simple", "unit_chain", "peel_core_vertices", "segre"),
      "AnalysisReport(name='segment', polytope=Polytope(dim=1, vertices=[(0,), (1,)]), "
      "class_group=ClassGroupPresentation(free_rank=0, full_factors=(1, 1)), "
      "class_matrix_rows=((0, 1), (1, 0)), compressed=True, normal=True, "
      "simple=True, unit_chain=UnitChain(points=((1,), (0,)), facet_ids=(0, 1)), "
-     "peel_core_vertices=((0,),), peel_apexes=1, segre=SegreClassification("
-     "tag='NOT_APPLICABLE', simplex_dims=None, apex_count=0), warnings=())"),
+     "peel_core_vertices=((0,),), segre=SegreClassification("
+     "simplex_dims=None, apex_count=0))"),
 ]
 IDS = [type(x).__name__ for x, _, _ in CASES]
 
@@ -92,10 +93,19 @@ def test_derived_length_follows_replaced_data(obj, changes, derived, length):
         setattr(obj, derived, length)
 
 
+def test_segre_tag_is_read_off_simplex_dims():
+    assert SegreClassification((1, 2), 0).tag == "SEGRE"
+    assert SegreClassification(None, 0).tag == "NOT_APPLICABLE"
+    c = SegreClassification((1, 2), 1)
+    assert c._replace(simplex_dims=None).tag == "NOT_APPLICABLE"
+    with pytest.raises(AttributeError):
+        c.tag = "NOT_APPLICABLE"
+
+
 def test_defaults():
     assert CheckOutcome("x", 1, 0, 0, None).first_index is None
     rep = AnalysisReport(name="point", polytope=simplex(0))
     optional = ("class_group", "class_matrix_rows", "compressed", "normal", "simple",
-                "unit_chain", "peel_core_vertices", "peel_apexes", "segre")
+                "unit_chain", "peel_core_vertices", "segre")
     assert all(getattr(rep, f) is None for f in optional)
-    assert rep.warnings == ()
+    assert rep.to_dict()["warnings"] == []
