@@ -254,8 +254,8 @@ def _family(args: argparse.Namespace, labels: list[str]) -> Iterator[Polytope]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # The family is streamed; a counterexample's index names the first
-    # polytope equal to it, as equal polytopes get equal verdicts.
+    # The family is streamed; first_index is the failing member's own
+    # position in the stream, so labels[first_index] is its label.
     labels: list[str] = []
     report = verify_family(_family(args, labels))
     width = max(len(n) for n in CHECK_NAMES) + 2

@@ -211,7 +211,7 @@ def all_01_polytopes(dim: int) -> Iterator[Polytope]:
     """
     if not 1 <= dim <= 4:
         raise ValueError("exhaustive enumeration supported for dimensions 1..4")
-    corners = sorted(iterproduct((0, 1), repeat=dim))
+    corners = list(iterproduct((0, 1), repeat=dim))
     for size in range(dim + 1, len(corners) + 1):
         for sub in combinations(corners, size):
             p = Polytope(sub)
@@ -240,7 +240,7 @@ def random_01_polytopes(dim: int, count: int, seed: int) -> Iterator[Polytope]:
 
 def _random_01_draws(dim: int, count: int, seed: int) -> Iterator[Polytope]:
     rng = random.Random(seed)
-    corners = sorted(iterproduct((0, 1), repeat=dim))
+    corners = list(iterproduct((0, 1), repeat=dim))
     drawn = 0
     while drawn < count:
         sub = [c for c in corners if rng.random() < 0.5]

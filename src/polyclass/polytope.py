@@ -26,12 +26,12 @@ are read off the facet incidences.  The lattice points of P and of its
 dilations h*P are enumerated by slicing, in lex order: each coordinate
 ranges over the integers the hull of the vertices projected onto the
 coordinates so far allows, so no point outside h*P is visited and none
-is re-tested against the facets.  The last coordinate's bounds are
-hoisted over the one before it: at each prefix of the first n - 2
-coordinates its forms are summed once, and each value of x_{n-1} then
-adds one term per form that has x_{n-1} in it.  A bounded memo keyed by
-the projected points lets the members of a family share those
-projections' hulls.  All arithmetic is on ``int``.
+is re-tested against the facets.  One bound loop, seeded with h times
+the vertices' range on each axis, serves every coordinate; at each
+prefix of the first n - 2 the last coordinate's forms are summed once,
+and each value of x_{n-1} then adds one term per form with x_{n-1} in
+it.  A bounded memo keyed by the projected points lets the members of
+a family share those projections' hulls.  All arithmetic is on ``int``.
 
 A (0,1)-polytope needs neither the walk at h = 1 nor the vertex check.
 P lies in the unit cube, whose only lattice points are its corners, and
@@ -165,18 +165,21 @@ class Polytope:
     def _slices(self) -> tuple[tuple, ...]:
         """Per coordinate j, how conv(vertices projected onto x_1..x_j) bounds x_j.
 
-        Entry j is the :func:`_bounds` of that hull: the polytope's own
-        for the last coordinate, split on x_{n-1} for the walk's inner
-        loop, else from the bounded memo :func:`_prefix_bounds`, which a
-        family's members share.  In R^1 the walk reads no form, so there
-        is no entry.
+        Entry j is (lows, highs, least, most): that hull's :func:`_bounds`,
+        from the bounded memo :func:`_prefix_bounds` a family's members
+        share, and the vertices' least and greatest x_j.  For x_n the bounds
+        are the polytope's own, split on x_{n-1}: entry n - 1 keeps the forms
+        without an x_{n-1} term, and entry n is (var_lows, var_highs).  The
+        walk reads no entry in R^1, so there is none.
         """
         n = self.ambient_dim
-        out = [_prefix_bounds(tuple(sorted({v[:j + 1] for v in self.vertices})))
-               for j in range(n - 1)]
-        if n > 1:
-            out.append(_bounds(*self._hull, n - 1, split=True))
-        return tuple(out)
+        if n < 2:
+            return ()
+        lows, highs, var_lows, var_highs = _bounds(*self._hull, n - 1, split=True)
+        bounds = [_prefix_bounds(tuple(sorted({v[:j + 1] for v in self.vertices})))
+                  for j in range(n - 1)] + [(lows, highs)]
+        return tuple([(*lh, min(col), max(col)) for lh, col in zip(bounds, zip(*self.vertices))]
+                     + [(var_lows, var_highs)])
 
     def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
         """Integer points of the dilation h*P in lex order, without building h*P.
@@ -187,56 +190,54 @@ class Polytope:
         x_1..x_{j-1} is a point of h*P_{j-1}, the x_j over it in h*P_j
         form a nonempty interval, cut out by the forms of P_j with x_j in
         them alone: every other form is valid on P_{j-1} and holds
-        already.  Its ends are the ceil of the lows and the floor of the
-        highs; an affine hull equation is one of each, so a non-integral
-        pinned value leaves lo > hi.  So every integer x_j in range extends
-        the prefix to a point of h*P_j, and at j = n to a point of h*P: no
-        point is re-tested, and the only waste is prefixes whose integer
-        interval is empty.  A (0,1)-polytope at h = 1 takes no walk: its
-        lattice points are its vertices (see the module docstring), which
-        are already in lex order.
+        already.  One loop takes the ceil of the lows and one the floor of
+        the highs, seeded with h times the vertices' least and greatest
+        x_j: P_j's x_j-range is theirs, so a seed binds only where no form
+        bounds that side.  An affine hull equation is a low and a high, so
+        a non-integral pinned value leaves lo > hi.  So every integer x_j
+        in range extends the prefix to a point of h*P_j, and at j = n to a
+        point of h*P: no point is re-tested, and the only waste is prefixes
+        whose integer interval is empty.  A (0,1)-polytope at h = 1 takes
+        no walk: its lattice points are its vertices (see the module
+        docstring), which are already in lex order.
 
-        The loop over forms runs for x_1..x_{n-1}; x_{n-1} and x_n share
-        one inner loop.  At each prefix x_1..x_{n-2}, every form of the
-        last entry of ``_slices`` is evaluated once: those with no
-        x_{n-1} term fold, with h times the least and greatest last vertex
-        coordinates, into one constant low and high for x_n, and each
-        other one keeps its partial sum s.  Each x_{n-1} = v then costs
-        one (s + c*v) // a per such form, c its x_{n-1} coefficient.  In
-        R^1 the interval is h times the vertices' and no form is read.
+        x_{n-1} and x_n share one inner loop.  At each prefix x_1..x_{n-2},
+        x_{n-1}'s interval is held while the same two loops bound x_n by
+        its forms without an x_{n-1} term; each other one keeps its partial
+        sum s, and each x_{n-1} = v costs one (s + c*v) // a, c its x_{n-1}
+        coefficient.  In R^1 the interval is h times the vertices'.
         """
         if h == 1 and self.is_01:
             return self.vertices
         n = self.ambient_dim
         if n == 0:
             return ((),)
-        last = [v[-1] for v in self.vertices]
-        least, most = h * min(last), h * max(last)
         if n == 1:
-            return tuple([(w,) for w in range(least, most + 1)])
+            return tuple([(w,) for w in range(h * self.vertices[0][0],
+                                              h * self.vertices[-1][0] + 1)])
         slices = self._slices
-        fixed_lows, fixed_highs, var_lows, var_highs = slices[-1]
+        var_lows, var_highs = slices[n]
         k = n - 2
         out: list[Point] = []
         x = [0] * k
         top = [0] * k
         j = 0
         while True:
-            lows, highs = slices[j]
-            lo = hi = None
+            lows, highs, lo, hi = slices[j]
+            lo, hi = h * lo, h * hi
             for terms, b, a in lows:
                 s = h * b
                 for i, c in terms:
                     s += c * x[i]
                 v = -(s // a)
-                if lo is None or v > lo:
+                if v > lo:
                     lo = v
             for terms, b, a in highs:
                 s = h * b
                 for i, c in terms:
                     s += c * x[i]
                 v = s // a
-                if hi is None or v < hi:
+                if v < hi:
                     hi = v
             if j < k:
                 x[j] = lo
@@ -244,25 +245,13 @@ class Polytope:
                 if lo <= hi:
                     j += 1
                     continue
+            elif j == k:
+                first, last = lo, hi  # x_{n-1}'s interval, while x_n is bounded
+                if lo <= hi:
+                    j += 1
+                    continue
             else:
-                # The last two coordinates over the prefix x: fold the
-                # x_n forms without an x_{n-1} term into least/most, and
-                # keep each other one's partial sum s and coefficient c.
-                lo_n, hi_n = least, most
-                for terms, b, a in fixed_lows:
-                    s = h * b
-                    for i, c in terms:
-                        s += c * x[i]
-                    v = -(s // a)
-                    if v > lo_n:
-                        lo_n = v
-                for terms, b, a in fixed_highs:
-                    s = h * b
-                    for i, c in terms:
-                        s += c * x[i]
-                    v = s // a
-                    if v < hi_n:
-                        hi_n = v
+                # lo and hi bound x_n here; each var form is summed once, then per v.
                 sums_lo = []
                 for terms, b, c, a in var_lows:
                     s = h * b
@@ -276,13 +265,13 @@ class Polytope:
                         s += ci * x[i]
                     sums_hi.append((s, c, a))
                 prefix = tuple(x)
-                for v in range(lo, hi + 1):
-                    w_lo = lo_n
+                for v in range(first, last + 1):
+                    w_lo = lo
                     for s, c, a in sums_lo:
                         w = -((s + c * v) // a)
                         if w > w_lo:
                             w_lo = w
-                    w_hi = hi_n
+                    w_hi = hi
                     for s, c, a in sums_hi:
                         w = (s + c * v) // a
                         if w < w_hi:
@@ -290,6 +279,7 @@ class Polytope:
                     pv = prefix + (v,)
                     for w in range(w_lo, w_hi + 1):
                         out.append(pv + (w,))
+                j = k
             # Advance the deepest level that still has room.
             j -= 1
             while j >= 0 and x[j] == top[j]:

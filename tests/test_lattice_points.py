@@ -71,7 +71,10 @@ class TestSlicingOracle:
         [(-3,), (5,)],  # ambient dim 1: the walk runs no last-two-coordinate kernel
         [(-2, -1), (1, 0), (-1, 2)],  # ambient dim 2: the kernel runs at the empty prefix
         [(0, 0), (3, 1), (1, 3)],  # x_2 coefficients that are not +-1
-    ], ids=["segment", "triangle", "skew-triangle"])
+        # x_2 = x_1/2 leaves x_2 no value over x_1 = 1, and x_3's bounds
+        # without an x_2 term come from the equation x_1 = 2*x_3.
+        [(0, 0, 0), (2, 1, 1)],
+    ], ids=["segment", "triangle", "skew-triangle", "pinned-segment"])
     def test_kernel_boundaries(self, verts):
         assert_points_match_oracle(Polytope(verts))
 
