@@ -16,7 +16,9 @@ sequence (of points and facets for the length, of facets for the lex-first
 witness), reports by the stdlib's JSON encoder, the check battery with
 normality decided on every polytope, the Segre classification from a
 rebuilt peel core and its subset-scan factors, poset filters and stable
-sets of graphs by a scan of every subset.
+sets of graphs by a scan of every subset, the covers of a poset with a
+least and a greatest element added by a scan of every triple, and maximal
+chains and maximal cliques by a scan of every subset.
 None of it shares code with the polyclass internals, except that the
 Bareiss minors run the library's ``_echelon_int``, the normality level test
 and the decomposition search take the points of h*P from the library's
@@ -680,3 +682,35 @@ def filters_by_scan(poset) -> list[frozenset[int]]:
 def stable_sets_by_scan(graph) -> list[frozenset[int]]:
     """The subsets that hold no edge."""
     return _subsets_by_scan(graph.n, lambda s: not any(a in s and b in s for a, b in graph.edges))
+
+
+def bounded_covers_by_scan(poset) -> int:
+    """Cover relations of P-hat, ``poset`` with a least and a greatest element added."""
+    n = poset.n
+    bottom, top = n, n + 1
+
+    def below(a: int, b: int) -> bool:
+        if a == b or a == top or b == bottom:
+            return False
+        return a == bottom or b == top or poset.leq[a][b]
+
+    elems = range(n + 2)
+    return sum(1 for a in elems for b in elems
+               if below(a, b) and not any(below(a, c) and below(c, b) for c in elems))
+
+
+def _maximal(sets: list[frozenset[int]]) -> list[frozenset[int]]:
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+def maximal_chains_by_scan(poset) -> list[frozenset[int]]:
+    """The pairwise comparable subsets that lie in no larger one."""
+    leq = poset.leq
+    return _maximal(_subsets_by_scan(
+        poset.n, lambda s: all(leq[i][j] or leq[j][i] for i in s for j in s)))
+
+
+def maximal_cliques_by_scan(graph) -> list[frozenset[int]]:
+    """The subsets whose vertices are pairwise adjacent that lie in no larger one."""
+    return _maximal(_subsets_by_scan(
+        graph.n, lambda s: all(j in graph.adj[i] for i in s for j in s if i != j)))

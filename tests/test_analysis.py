@@ -470,6 +470,22 @@ class TestUnitChains:
         for fid in (-1, len(p.facets)):
             assert not validate_unit_chain(p, UnitChain((pt,), (fid,)))
 
+    def test_validation_rejects_unequal_lengths(self):
+        # _replace builds past UnitChain's checks, so the lengths can disagree.
+        p = fixture("P1")
+        good = k_number(p)
+        assert not validate_unit_chain(p, good._replace(facet_ids=good.facet_ids[:-1]))
+        assert not validate_unit_chain(p, good._replace(points=good.points[:-1]))
+
+    def test_validation_rejects_a_point_off_an_earlier_facet(self):
+        p = cube(2)
+        fid = {f.row: i for i, f in enumerate(p.facets)}
+        x_ge_0 = fid[tuple(pt[0] for pt in p.lattice_points)]
+        y_le_1 = fid[tuple(1 - pt[1] for pt in p.lattice_points)]
+        assert validate_unit_chain(p, UnitChain(((1, 1), (0, 0)), (x_ge_0, y_le_1)))
+        # (1, 0) has value 1 on y <= 1 too, but it is off the earlier facet x >= 0.
+        assert not validate_unit_chain(p, UnitChain(((1, 1), (1, 0)), (x_ge_0, y_le_1)))
+
     def test_validation_rejects_point_off_earlier_facets(self):
         p = cube(2)
         good = k_number(p)

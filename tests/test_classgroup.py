@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracles
 from polyclass import (
     ClassGroupPresentation,
+    Graph,
+    InvariantViolation,
     Polytope,
+    Poset,
     class_group,
     class_matrix,
     cube,
@@ -15,9 +20,12 @@ from polyclass import (
     fixture,
     is_compressed,
     k_number,
+    order_polytope,
     product,
     simplex,
+    stable_set_polytope,
 )
+from polyclass import classgroup
 from support import named_corpus
 
 SEGMENT_02 = dilate(simplex(1), 2)
@@ -63,6 +71,13 @@ class TestClassMatrix:
 
 
 class TestClassGroup:
+    def test_rank_other_than_dim_plus_one_is_an_invariant_violation(self, monkeypatch):
+        real = classgroup.snf
+        monkeypatch.setattr(classgroup, "snf", lambda m: real(m)[:-1])
+        with pytest.raises(InvariantViolation,
+                           match=r"^class matrix rank 2 != dim \+ 1 = 3 for vertices \[\(0, 0\), "):
+            class_group(fixture("P3"))
+
     def test_skew_quadrilateral_is_free_of_rank_one(self):
         cg = class_group(fixture("P3"))
         assert cg.free_rank == 1
@@ -152,3 +167,58 @@ class TestPresentation:
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):
             ClassGroupPresentation(-1, ())
+
+
+def _random_posets(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        label = rng.sample(range(n), n)  # so that i <= j does not imply i < j
+        p = rng.choice((0.1, 0.3, 0.6))
+        yield Poset.from_relations(n, [(label[i], label[j]) for i in range(n)
+                                       for j in range(i + 1, n) if rng.random() < p])
+
+
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complement(g: Graph) -> Graph:
+    return Graph(g.n, [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                       if j not in g.adj[i]])
+
+
+class TestClosedForms:
+    """Class groups of two poset families against closed forms counted by brute force."""
+
+    def test_order_polytopes(self):
+        # Stanley, "Two poset polytopes" (1986): the facets of O(P) are the
+        # covers of P-hat.  The class group is free of rank facets - dim - 1.
+        for poset in _random_posets(31, 200):
+            p = order_polytope(poset)
+            covers = oracles.bounded_covers_by_scan(poset)
+            assert len(p.facets) == covers, poset.leq
+            assert is_compressed(p), poset.leq
+            cg = class_group(p)
+            assert (cg.free_rank, cg.torsion) == (covers - poset.n - 1, ()), poset.leq
+
+    def test_stable_set_polytopes_of_comparability_graphs(self):
+        # A comparability graph is perfect and its maximal cliques are the
+        # maximal chains, so Stab(G) has the n facets x_i >= 0 and one
+        # clique facet per maximal chain.
+        for poset in _random_posets(32, 200):
+            n = poset.n
+            graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if poset.leq[i][j] or poset.leq[j][i]])
+            chains = oracles.maximal_chains_by_scan(poset)
+            assert oracles.maximal_cliques_by_scan(graph) == chains, poset.leq
+            p = stable_set_polytope(graph)
+            assert len(p.facets) == n + len(chains), poset.leq
+            assert is_compressed(p), poset.leq
+            cg = class_group(p)
+            assert (cg.free_rank, cg.torsion) == (len(chains) - 1, ()), poset.leq
+
+    @pytest.mark.parametrize("graph", [_cycle(5), _cycle(7), _complement(_cycle(7))],
+                             ids=["C5", "C7", "co-C7"])
+    def test_odd_holes_and_antiholes_are_not_compressed(self, graph):
+        assert not is_compressed(stable_set_polytope(graph))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polyclass import InvariantViolation, Polytope, cube, fixture, random_01_polytopes
+from polyclass import InvariantViolation, Polytope, cube, fixture, pyramid, random_01_polytopes
 from polyclass import analysis, cli
 
 
@@ -54,6 +54,45 @@ class TestPolytopeFiles:
         path = write_json(tmp_path / "bad.json", {"name": "x"})
         with pytest.raises(cli.FileFormatError):
             cli.load_polytope_file(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([[0], [1]], "top level must be an object"),
+        ({"name": 3, "vertices": [[0], [1]]}, '"name" must be a string'),
+        ({"vertices": []}, '"vertices" must be a nonempty array'),
+        ({"vertices": [[0], 1]}, "vertex 1 must be an array"),
+    ], ids=["not-an-object", "name-not-a-string", "no-vertices", "vertex-not-an-array"])
+    def test_rejects_a_misshapen_polytope(self, tmp_path, doc, message):
+        path = write_json(tmp_path / "bad.json", doc)
+        with pytest.raises(cli.FileFormatError) as err:
+            cli.load_polytope_file(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "top level must be an object"),
+        ({"edges": []}, '"n": expected an integer, got None'),
+        ({"n": 2, "edges": {}}, '"edges" must be an array'),
+        ({"n": 2, "edges": [[0, 1], [0, 1, 1]]}, "edge 1 must be a pair"),
+        ({"n": 2, "edges": [[0, 1], 0]}, "edge 1 must be a pair"),
+        ({"n": 2, "edges": [[0, 1.0]]}, "edge 0: expected an integer, got 1.0"),
+        ({"n": 2, "edges": [[0, 2]]}, "edge (0, 2) out of range"),
+    ], ids=["not-an-object", "no-size", "edges-not-an-array", "triple", "scalar",
+            "float", "out-of-range"])
+    def test_rejects_a_misshapen_graph(self, tmp_path, doc, message):
+        path = write_json(tmp_path / "bad.json", doc)
+        with pytest.raises(cli.FileFormatError) as err:
+            cli.load_graph_file(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2}, '"relations" must be an array'),
+        ({"n": 2, "relations": [[1]]}, "relation 0 must be a pair"),
+        ({"n": 2, "relations": [[0, 1], [1, 0]]}, "cycle between 0 and 1: not a partial order"),
+    ], ids=["no-relations", "single", "cycle"])
+    def test_rejects_a_misshapen_poset(self, tmp_path, doc, message):
+        path = write_json(tmp_path / "bad.json", doc)
+        with pytest.raises(cli.FileFormatError) as err:
+            cli.load_poset_file(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -256,6 +295,74 @@ class TestMakeCommand:
         assert code == 0
         name, _ = cli.load_polytope_file(str(out_file))
         assert name == "flatland"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simplex"], "simplex takes exactly one size parameter"),
+        (["cube", "1", "2"], "cube takes exactly one size parameter"),
+        (["fixture"], "fixture takes exactly one name parameter"),
+        (["product", "--of", "cube:1"], "product needs at least two --of specs"),
+        (["product"], "product needs at least two --of specs"),
+        (["pyramid", "--of", "cube:1", "cube:1"], "pyramid needs exactly one --of spec"),
+        (["dilate"], "dilate needs exactly one --of spec"),
+        (["order"], "order needs --poset FILE"),
+        (["stableset"], "stableset needs --graph FILE"),
+        (["edge"], "edge needs --graph FILE"),
+    ], ids=["simplex", "cube", "fixture", "product-one", "product-none", "pyramid-two",
+            "dilate", "order", "stableset", "edge"])
+    def test_arity_error_exits_one(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "x.json"
+        code, out, err = run(capsys, "make", *argv, "-o", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+    def test_stable_set_polytope_from_graph_file(self, capsys, tmp_path):
+        graph = write_json(tmp_path / "path.json", {"n": 3, "edges": [[0, 1], [1, 2]]})
+        out_file = tmp_path / "stab.json"
+        code, out, _ = run(capsys, "make", "stableset", "--graph", graph, "-o", str(out_file))
+        assert code == 0
+        assert out == f"wrote {out_file}: stableset, 5 vertices in R^3\n"
+        _, verts = cli.load_polytope_file(str(out_file))
+        assert sorted(verts) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+
+    def test_fixture_spec(self, capsys, tmp_path):
+        out_file = tmp_path / "pyr.json"
+        code, out, _ = run(capsys, "make", "pyramid", "--of", "fixture:P1", "-o", str(out_file))
+        assert code == 0
+        assert out == f"wrote {out_file}: pyramid_fixture_P1, 7 vertices in R^3\n"
+        _, verts = cli.load_polytope_file(str(out_file))
+        assert Polytope(verts) == pyramid(fixture("P1"))
+
+    @pytest.mark.parametrize("spec, message", [
+        ("frob:1", "cannot resolve 'frob:1': expected simplex:N, cube:N, fixture:NAME, "
+                   "or a path to a polytope JSON file"),
+        ("cube:x", "bad numeric argument in spec 'cube:x'"),
+        ("simplex", "bad numeric argument in spec 'simplex'"),
+        ("cube:0", "cube dimension must be positive"),
+        ("fixture:Q9", "unknown fixture 'Q9'"),
+    ], ids=["unresolvable", "bad-numeric", "no-argument", "refused-size", "unknown-fixture"])
+    def test_bad_spec_exits_one(self, capsys, tmp_path, spec, message):
+        code, out, err = run(capsys, "make", "dilate", "--of", spec,
+                             "-o", str(tmp_path / "x.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simplex", "two"], "bad numeric argument in spec 'two'"),
+        (["simplex", "-1"], "simplex dimension must be nonnegative"),
+        (["fixture", "Q9"], "unknown fixture 'Q9'"),
+    ], ids=["bad-numeric", "refused-size", "unknown-fixture"])
+    def test_bad_parameter_exits_one(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "make", *argv, "-o", str(tmp_path / "x.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
+
+    @pytest.mark.parametrize("size, name", [("02", "simplex_2"), (" +3", "simplex_3")])
+    def test_size_is_named_as_parsed(self, capsys, tmp_path, size, name):
+        out_file = tmp_path / "s.json"
+        code, out, _ = run(capsys, "make", "simplex", size, "-o", str(out_file))
+        assert code == 0
+        assert cli.load_polytope_file(str(out_file))[0] == name
+        assert out.startswith(f"wrote {out_file}: {name}, ")
 
 
 class TestVerifyCommand:

@@ -146,6 +146,14 @@ class TestPoset:
         with pytest.raises(ValueError):
             Poset.from_relations(2, [(0, 5)])
 
+    def test_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="^poset size must be nonnegative$"):
+            Poset.from_relations(-1, [])
+
+    def test_rejects_a_relation_that_is_not_reflexive(self):
+        with pytest.raises(ValueError, match="^order relation must be reflexive$"):
+            Poset(2, [[True, True], [False, False]])
+
 
 class TestSubsetClosures:
     """Filters and stable sets, content and order, against a scan of all 2^n subsets."""
@@ -182,6 +190,10 @@ class TestOrderPolytope:
     def test_singleton(self):
         assert order_polytope(Poset.from_relations(1, [])) == simplex(1)
 
+    def test_rejects_the_empty_poset(self):
+        with pytest.raises(ValueError, match="^order polytope needs at least one element$"):
+            order_polytope(Poset.from_relations(0, []))
+
 
 class TestGraph:
     def test_rejects_loops(self):
@@ -195,6 +207,10 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+
+    def test_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="^graph size must be nonnegative$"):
+            Graph(-1, [])
 
     def test_stable_sets_of_triangle(self):
         assert set(TRIANGLE_GRAPH.stable_sets()) == {
@@ -211,6 +227,10 @@ class TestStableSetPolytope:
 
     def test_single_edge(self):
         assert stable_set_polytope(Graph(2, [(0, 1)])) == simplex(2)
+
+    def test_rejects_the_empty_graph(self):
+        with pytest.raises(ValueError, match="^stable set polytope needs at least one vertex$"):
+            stable_set_polytope(Graph(0, []))
 
 
 class TestEdgePolytope:

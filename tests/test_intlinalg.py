@@ -106,6 +106,10 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    def test_rejects_a_negative_column_count(self):
+        with pytest.raises(ValueError, match="^column count must be nonnegative$"):
+            IntMatrix(-1, ())
+
     def test_empty_matrices_are_legal(self):
         empty = IntMatrix.from_rows([], cols=3)
         assert (empty.rows, empty.cols) == (0, 3)
@@ -326,6 +330,11 @@ class TestRowLattice:
         assert in_row_lattice(hnf, (-4, 9))
         assert not in_row_lattice(hnf, (1, 0))
         assert not in_row_lattice(hnf, (0, 1))
+
+    def test_membership_refuses_a_vector_of_another_length(self):
+        hnf = hnf_row_lattice(IntMatrix.from_rows([[2, 0], [0, 3]]))
+        with pytest.raises(ValueError, match="^vector length does not match lattice ambient"):
+            in_row_lattice(hnf, (2, 0, 0))
 
     @settings(deadline=None)
     @given(int_matrices(max_rows=5, max_cols=5),

@@ -74,6 +74,15 @@ class TestAnalyze:
         assert rep.class_group is None
         assert rep.unit_chain is None
 
+    def test_point_renders_as_trivial(self):
+        assert analyze(Polytope([(5, 5)]), name="pt").render_text() == (
+            "polytope pt\n"
+            "  ambient dimension : 2\n"
+            "  dimension         : 0\n"
+            "  vertices          : 1\n"
+            "  lattice points    : 1\n"
+            "  (single point; nothing further to analyze)\n")
+
     def test_non_normal_presentation_is_formal_with_warning(self):
         rep = analyze(edge_polytope(two_triangles_bridge()), name="bridge")
         assert rep.normal is False

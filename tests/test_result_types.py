@@ -93,6 +93,11 @@ def test_derived_length_follows_replaced_data(obj, changes, derived, length):
         setattr(obj, derived, length)
 
 
+def test_empty_verification_has_total_zero():
+    assert VerificationReport(()).total == 0
+    assert VerificationReport(()).ok
+
+
 def test_segre_tag_is_read_off_simplex_dims():
     assert SegreClassification((1, 2), 0).tag == "SEGRE"
     assert SegreClassification(None, 0).tag == "NOT_APPLICABLE"
