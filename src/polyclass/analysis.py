@@ -35,13 +35,12 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import nullcontext
 from itertools import chain
-from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .classgroup import class_group
 from .errors import InvariantViolation
-from .intlinalg import _echelon_int, in_row_lattice
+from .intlinalg import _echelon_int, _primitive, in_row_lattice
 from .polytope import Point, Polytope
 
 Verdict = bool | None
@@ -78,11 +77,7 @@ def _solve_last(eqs: list[Sequence[int]], n: int) -> dict[int, list[int]]:
     :func:`_echelon_int` gives on reversed columns, reversed back.
     """
     ech, cols, _ = _echelon_int([a[::-1] for a in eqs], n)
-    solved: dict[int, list[int]] = {}
-    for r, c in zip(ech, cols):
-        g = gcd(*r)
-        solved[n - 1 - c] = [u // g for u in reversed(r)]
-    return solved
+    return {n - 1 - c: list(_primitive(r)[::-1]) for r, c in zip(ech, cols)}
 
 
 def _coordinate_blocks(eqs: list[Sequence[int]], forms: list[Sequence[int]],

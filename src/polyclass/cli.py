@@ -139,28 +139,31 @@ def load_poset_file(path: str) -> tuple[families.Poset, bool]:
     return poset, poset.is_transitively_closed_input(pairs)
 
 
+_NAMED = {"simplex": "size", "cube": "size", "fixture": "name"}  # what the one parameter is
+
+
+def _named(kind: str, arg: str, spec: str) -> tuple[str, Polytope]:
+    """``(arg as parsed, polytope)`` for simplex N, cube N or fixture NAME; errors quote spec."""
+    if kind == "fixture":
+        return arg, families.fixture(arg)
+    try:
+        n = int(arg)
+    except ValueError:
+        raise FileFormatError(f"bad numeric argument in spec {spec!r}") from None
+    return str(n), (families.simplex if kind == "simplex" else families.cube)(n)
+
+
 def build_from_spec(spec: str) -> Polytope:
     """Resolve a constructor spec: name:arg (simplex:2, cube:3, fixture:P1) or a JSON path."""
     if spec.endswith(".json") or os.path.exists(spec):
         _, verts = load_polytope_file(spec)
         return Polytope(verts)
     kind, _, arg = spec.partition(":")
-    if kind == "simplex":
-        return families.simplex(_spec_int(spec, arg))
-    if kind == "cube":
-        return families.cube(_spec_int(spec, arg))
-    if kind == "fixture":
-        return families.fixture(arg)
-    raise FileFormatError(
-        f"cannot resolve {spec!r}: expected simplex:N, cube:N, fixture:NAME, "
-        f"or a path to a polytope JSON file")
-
-
-def _spec_int(spec: str, arg: str) -> int:
-    try:
-        return int(arg)
-    except ValueError:
-        raise FileFormatError(f"bad numeric argument in spec {spec!r}") from None
+    if kind not in _NAMED:
+        raise FileFormatError(
+            f"cannot resolve {spec!r}: expected simplex:N, cube:N, fixture:NAME, "
+            f"or a path to a polytope JSON file")
+    return _named(kind, arg, spec)[1]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -180,17 +183,11 @@ def _cmd_make(args: argparse.Namespace) -> int:
     ctor = args.ctor
     params = args.params
     name_parts = [ctor]
-    if ctor in ("simplex", "cube"):
+    if ctor in _NAMED:
         if len(params) != 1:
-            raise FileFormatError(f"{ctor} takes exactly one size parameter")
-        n = _spec_int(params[0], params[0])
-        p = families.simplex(n) if ctor == "simplex" else families.cube(n)
-        name_parts.append(str(n))
-    elif ctor == "fixture":
-        if len(params) != 1:
-            raise FileFormatError("fixture takes exactly one name parameter")
-        p = families.fixture(params[0])
-        name_parts.append(params[0])
+            raise FileFormatError(f"{ctor} takes exactly one {_NAMED[ctor]} parameter")
+        part, p = _named(ctor, params[0], params[0])
+        name_parts.append(part)
     elif ctor == "product":
         if not args.of or len(args.of) < 2:
             raise FileFormatError("product needs at least two --of specs")

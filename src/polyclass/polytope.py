@@ -210,8 +210,6 @@ class Polytope:
         if h == 1 and self.is_01:
             return self.vertices
         n = self.ambient_dim
-        if n == 0:
-            return ((),)
         if n == 1:
             return tuple([(w,) for w in range(h * self.vertices[0][0],
                                               h * self.vertices[-1][0] + 1)])

@@ -1,15 +1,16 @@
 """Full analysis of a polytope, bundled into one report object.
 
 ``analyze`` runs the whole pipeline (facets, lattice points, class
-matrix, class group, compressedness, normality, unit chain, pyramid
-peeling, Segre classification when applicable) and returns an
-:class:`AnalysisReport`, an immutable named tuple whose ``to_dict``
-decides each fact it shows once: the aligned text is formatted from that
-dict, and the canonical JSON is its dump.  It builds no polytope: the peel
-core is the vertices that are not apexes, of dimension dim - (apex count).
-The JSON form is deterministic byte for byte: all orders are canonical
-and keys are sorted.  The bytes are exactly those of ``json.dumps(indent=2,
-sort_keys=True)``, produced by a dedicated emitter.
+matrix, class group, normality, unit chain, pyramid peeling, Segre
+classification when applicable) and returns an :class:`AnalysisReport`,
+an immutable named tuple whose ``to_dict`` decides each fact it shows
+once, compressedness and simplicity off the polytope: the aligned text is
+formatted from that dict, and the canonical JSON is its dump.  It builds
+no polytope: the peel core is the vertices that are not apexes, of
+dimension dim - (apex count).  The JSON form is deterministic byte for
+byte: all orders are canonical and keys are sorted.  The bytes are exactly
+those of ``json.dumps(indent=2, sort_keys=True)``, produced by a dedicated
+emitter.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ class AnalysisReport(NamedTuple):
     polytope: Polytope
     class_group: ClassGroupPresentation | None = None
     class_matrix_rows: tuple[tuple[int, ...], ...] | None = None
-    compressed: bool | None = None
     normal: bool | None = None
-    simple: bool | None = None
     unit_chain: UnitChain | None = None
     peel_core_vertices: tuple[Point, ...] | None = None
     segre: SegreClassification | None = None
@@ -84,9 +83,9 @@ class AnalysisReport(NamedTuple):
             "formal": not self.normal,
         }
         out["torsionfree"] = cg.is_torsionfree
-        out["compressed"] = self.compressed
+        out["compressed"] = is_compressed(p)
         out["normal"] = self.normal
-        out["simple"] = self.simple
+        out["simple"] = p.is_simple()
         out["unit_chain"] = {
             "k": self.unit_chain.k,
             "points": [list(v) for v in self.unit_chain.points],
@@ -204,9 +203,7 @@ def analyze(p: Polytope, name: str = "polytope") -> AnalysisReport:
         polytope=p,
         class_group=cg,
         class_matrix_rows=cm.matrix.entries,
-        compressed=is_compressed(p),
         normal=normal,
-        simple=p.is_simple(),
         unit_chain=chain,
         peel_core_vertices=core,
         segre=segre,

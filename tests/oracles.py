@@ -17,8 +17,9 @@ witness), reports by the stdlib's JSON encoder, the check battery with
 normality decided on every polytope, the Segre classification from a
 rebuilt peel core and its subset-scan factors, poset filters and stable
 sets of graphs by a scan of every subset, the covers of a poset with a
-least and a greatest element added by a scan of every triple, and maximal
-chains and maximal cliques by a scan of every subset.
+least and a greatest element added by a scan of every triple, maximal
+chains and maximal cliques by a scan of every subset, and perfection of a
+graph on at most 7 vertices by a scan for induced odd holes and antiholes.
 None of it shares code with the polyclass internals, except that the
 Bareiss minors run the library's ``_echelon_int``, the normality level test
 and the decomposition search take the points of h*P from the library's
@@ -714,3 +715,31 @@ def maximal_cliques_by_scan(graph) -> list[frozenset[int]]:
     """The subsets whose vertices are pairwise adjacent that lie in no larger one."""
     return _maximal(_subsets_by_scan(
         graph.n, lambda s: all(j in graph.adj[i] for i in s for j in s if i != j)))
+
+
+def is_perfect_by_scan(graph) -> bool:
+    """No induced odd hole or antihole; on at most 7 vertices those are C5, C7 and co-C7."""
+    if graph.n > 7:
+        raise ValueError("the scan knows the odd holes and antiholes up to 7 vertices only")
+
+    def is_cycle(s: frozenset[int], adjacent) -> bool:
+        start = min(s)
+        seen, prev, cur = {start}, None, start
+        while True:
+            nbrs = [v for v in s if v != cur and adjacent(cur, v)]
+            if len(nbrs) != 2:
+                return False
+            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            if nxt == start:
+                return len(seen) == len(s)
+            seen.add(nxt)
+            prev, cur = cur, nxt
+
+    def edge(a: int, b: int) -> bool:
+        return b in graph.adj[a]
+
+    def non_edge(a: int, b: int) -> bool:
+        return b not in graph.adj[a]
+
+    return not any(len(s) in (5, 7) and (is_cycle(s, edge) or is_cycle(s, non_edge))
+                   for s in _subsets_by_scan(graph.n, lambda s: True))

@@ -96,6 +96,14 @@ def random_int_matrix(rng: random.Random, max_rows: int = 8,
         [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)])
 
 
+def random_poset(rng: random.Random, n: int) -> Poset:
+    """The closure of random pairs label[i] <= label[j], i < j, under a random labelling."""
+    label = rng.sample(range(n), n)  # so that i <= j does not imply i < j
+    p = rng.choice((0.1, 0.3, 0.6))
+    return Poset.from_relations(n, [(label[i], label[j]) for i in range(n)
+                                    for j in range(i + 1, n) if rng.random() < p])
+
+
 def named_corpus() -> list[tuple[str, Polytope]]:
     """Small named polytopes exercised by the oracle-agreement tests."""
     chain2 = Poset.from_relations(2, [(0, 1)])

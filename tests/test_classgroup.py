@@ -12,7 +12,6 @@ from polyclass import (
     Graph,
     InvariantViolation,
     Polytope,
-    Poset,
     class_group,
     class_matrix,
     cube,
@@ -21,12 +20,13 @@ from polyclass import (
     is_compressed,
     k_number,
     order_polytope,
+    polytope_checks,
     product,
     simplex,
     stable_set_polytope,
 )
 from polyclass import classgroup
-from support import named_corpus
+from support import named_corpus, random_poset
 
 SEGMENT_02 = dilate(simplex(1), 2)
 
@@ -75,7 +75,7 @@ class TestClassGroup:
         real = classgroup.snf
         monkeypatch.setattr(classgroup, "snf", lambda m: real(m)[:-1])
         with pytest.raises(InvariantViolation,
-                           match=r"^class matrix rank 2 != dim \+ 1 = 3 for vertices \[\(0, 0\), "):
+                           match=r"^class matrix rank 2 != dim \+ 1 = 3 for vertices \[\(0, 0\),"):
             class_group(fixture("P3"))
 
     def test_skew_quadrilateral_is_free_of_rank_one(self):
@@ -171,12 +171,7 @@ class TestPresentation:
 
 def _random_posets(seed: int, count: int):
     rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 6)
-        label = rng.sample(range(n), n)  # so that i <= j does not imply i < j
-        p = rng.choice((0.1, 0.3, 0.6))
-        yield Poset.from_relations(n, [(label[i], label[j]) for i in range(n)
-                                       for j in range(i + 1, n) if rng.random() < p])
+    return [random_poset(rng, rng.randint(1, 6)) for _ in range(count)]
 
 
 def _cycle(n: int) -> Graph:
@@ -201,6 +196,7 @@ class TestClosedForms:
             assert is_compressed(p), poset.leq
             cg = class_group(p)
             assert (cg.free_rank, cg.torsion) == (covers - poset.n - 1, ()), poset.leq
+            assert False not in polytope_checks(p).values(), poset.leq
 
     def test_stable_set_polytopes_of_comparability_graphs(self):
         # A comparability graph is perfect and its maximal cliques are the
@@ -212,13 +208,39 @@ class TestClosedForms:
                               if poset.leq[i][j] or poset.leq[j][i]])
             chains = oracles.maximal_chains_by_scan(poset)
             assert oracles.maximal_cliques_by_scan(graph) == chains, poset.leq
+            assert oracles.is_perfect_by_scan(graph), poset.leq
             p = stable_set_polytope(graph)
             assert len(p.facets) == n + len(chains), poset.leq
             assert is_compressed(p), poset.leq
             cg = class_group(p)
             assert (cg.free_rank, cg.torsion) == (len(chains) - 1, ()), poset.leq
+            assert False not in polytope_checks(p).values(), poset.leq
+
+    def test_stable_set_polytopes_of_random_graphs(self):
+        # Chvatal (1975): for a perfect G the facets are x_v >= 0 and one
+        # per maximal clique, and Stab(G) is compressed iff G is perfect.
+        rng = random.Random(33)
+        perfect = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            prob = rng.choice((0.3, 0.5, 0.7))
+            graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < prob])
+            p = stable_set_polytope(graph)
+            assert False not in polytope_checks(p).values(), graph.edges
+            if not oracles.is_perfect_by_scan(graph):
+                assert not is_compressed(p), graph.edges
+                continue
+            perfect += 1
+            cliques = oracles.maximal_cliques_by_scan(graph)
+            assert len(p.facets) == n + len(cliques), graph.edges
+            assert is_compressed(p), graph.edges
+            cg = class_group(p)
+            assert (cg.free_rank, cg.torsion) == (len(cliques) - 1, ()), graph.edges
+        assert perfect == 144  # the seed draws 6 graphs with an odd hole or antihole
 
     @pytest.mark.parametrize("graph", [_cycle(5), _cycle(7), _complement(_cycle(7))],
                              ids=["C5", "C7", "co-C7"])
     def test_odd_holes_and_antiholes_are_not_compressed(self, graph):
+        assert not oracles.is_perfect_by_scan(graph)
         assert not is_compressed(stable_set_polytope(graph))

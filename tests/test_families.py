@@ -24,13 +24,14 @@ from polyclass import (
     stable_set_polytope,
 )
 from oracles import filters_by_scan, stable_sets_by_scan
-from support import FOUR_CYCLE, TRIANGLE_GRAPH, named_corpus, two_triangles_bridge
+from support import FOUR_CYCLE, TRIANGLE_GRAPH, named_corpus, random_poset, two_triangles_bridge
 
 
 class TestSimplexAndCube:
     def test_simplex_zero_is_a_point(self):
         assert simplex(0).vertices == ((),)
         assert simplex(0).dim == 0
+        assert simplex(0).lattice_points == ((),)  # R^0 is 0/1: its points are its vertices
 
     def test_simplex_one_is_unit_segment(self):
         assert simplex(1).vertices == ((0,), (1,))
@@ -161,13 +162,8 @@ class TestSubsetClosures:
     def test_filters_of_random_posets(self):
         rng = random.Random(5)
         for _ in range(150):
-            n = rng.randint(0, 8)
-            label = rng.sample(range(n), n)  # so that i <= j does not imply i < j
-            p = rng.choice((0.1, 0.3, 0.6))
-            relations = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)
-                         if rng.random() < p]
-            poset = Poset.from_relations(n, relations)
-            assert poset.filters() == filters_by_scan(poset), relations
+            poset = random_poset(rng, rng.randint(0, 8))
+            assert poset.filters() == filters_by_scan(poset), poset.leq
 
     def test_stable_sets_of_random_graphs(self):
         rng = random.Random(6)

@@ -65,7 +65,7 @@ class TestAnalyze:
     def test_even_segment(self):
         rep = analyze(dilate(simplex(1), 2))
         assert rep.class_group.describe() == "Z/2"
-        assert rep.compressed is False
+        assert rep.to_dict()["compressed"] is False
 
     def test_point_is_trivial(self):
         rep = analyze(Polytope([(5, 5)]), name="pt")

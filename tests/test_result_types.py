@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from polyclass import simplex
+from polyclass import Polytope, dilate, simplex
 from polyclass.analysis import CheckOutcome, SegreClassification, UnitChain, VerificationReport
 from polyclass.classgroup import ClassGroupPresentation, ClassMatrix
 from polyclass.intlinalg import IntMatrix
@@ -19,7 +19,7 @@ _OUTCOME = CheckOutcome("chain_length_bound", 2, 1, 0, simplex(1), 1)
 
 # (instance, its stored field names in order, its repr).  The derived values
 # IntMatrix.rows, UnitChain.k, VerificationReport.total and SegreClassification.tag
-# are no fields.
+# are no fields, nor are the report's compressedness and simplicity.
 CASES = [
     (_M, ("cols", "entries"), "IntMatrix(cols=2, entries=((1, 0), (2, 3)))"),
     (simplex(1).facets[0], ("vertex_set", "row", "int_form", "divisor"),
@@ -41,12 +41,12 @@ CASES = [
      "passed=2, failed=1, skipped=0, first_counterexample=Polytope(dim=1, "
      "vertices=[(0,), (1,)]), first_index=1),))"),
     (analyze(simplex(1), name="segment"),
-     ("name", "polytope", "class_group", "class_matrix_rows", "compressed", "normal",
-      "simple", "unit_chain", "peel_core_vertices", "segre"),
+     ("name", "polytope", "class_group", "class_matrix_rows", "normal", "unit_chain",
+      "peel_core_vertices", "segre"),
      "AnalysisReport(name='segment', polytope=Polytope(dim=1, vertices=[(0,), (1,)]), "
      "class_group=ClassGroupPresentation(free_rank=0, full_factors=(1, 1)), "
-     "class_matrix_rows=((0, 1), (1, 0)), compressed=True, normal=True, "
-     "simple=True, unit_chain=UnitChain(points=((1,), (0,)), facet_ids=(0, 1)), "
+     "class_matrix_rows=((0, 1), (1, 0)), normal=True, "
+     "unit_chain=UnitChain(points=((1,), (0,)), facet_ids=(0, 1)), "
      "peel_core_vertices=((0,),), segre=SegreClassification("
      "simplex_dims=None, apex_count=0))"),
 ]
@@ -98,6 +98,14 @@ def test_empty_verification_has_total_zero():
     assert VerificationReport(()).ok
 
 
+def test_report_reads_compressed_and_simple_off_its_polytope():
+    rep = analyze(simplex(1), name="segment")
+    assert (rep.to_dict()["compressed"], rep.to_dict()["simple"]) == (True, True)
+    square_pyramid = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    d = rep._replace(polytope=dilate(square_pyramid, 2)).to_dict()
+    assert (d["compressed"], d["simple"]) == (False, False)
+
+
 def test_segre_tag_is_read_off_simplex_dims():
     assert SegreClassification((1, 2), 0).tag == "SEGRE"
     assert SegreClassification(None, 0).tag == "NOT_APPLICABLE"
@@ -110,7 +118,8 @@ def test_segre_tag_is_read_off_simplex_dims():
 def test_defaults():
     assert CheckOutcome("x", 1, 0, 0, None).first_index is None
     rep = AnalysisReport(name="point", polytope=simplex(0))
-    optional = ("class_group", "class_matrix_rows", "compressed", "normal", "simple",
-                "unit_chain", "peel_core_vertices", "segre")
+    optional = ("class_group", "class_matrix_rows", "normal", "unit_chain",
+                "peel_core_vertices", "segre")
+    assert AnalysisReport._fields == ("name", "polytope") + optional
     assert all(getattr(rep, f) is None for f in optional)
     assert rep.to_dict()["warnings"] == []
