@@ -24,8 +24,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache
-from typing import Any, Iterator, Sequence
+from functools import cache, reduce
+from typing import Any, Callable, Iterator, Sequence
 
 from . import families
 from .analysis import CHECK_NAMES, verify_family
@@ -99,8 +99,8 @@ def write_polytope_file(path: str, name: str, p: Polytope) -> None:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
 
 
-def _load_pairs(path: str, key: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
-    """Read {"n": int, <key>: [[int, int], ...]}; ``noun`` names one pair in errors."""
+def _load_pairs(path: str, key: str, noun: str, build: Callable[[int, list], Any]) -> Any:
+    """Read {"n": int, <key>: [[int, int], ...]} into build(n, pairs); ``noun`` names a pair."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be an object")
@@ -113,16 +113,15 @@ def _load_pairs(path: str, key: str, noun: str) -> tuple[int, list[tuple[int, in
         if not isinstance(e, list) or len(e) != 2:
             raise FileFormatError(f"{path}: {noun} {i} must be a pair")
         pairs.append(tuple(_require_int(v, f"{path}: {noun} {i}") for v in e))
-    return n, pairs
+    try:
+        return build(n, pairs)
+    except ValueError as e:
+        raise FileFormatError(f"{path}: {e}") from None
 
 
 def load_graph_file(path: str) -> families.Graph:
     """Read {"n": int, "edges": [[a, b], ...]}."""
-    n, pairs = _load_pairs(path, "edges", "edge")
-    try:
-        return families.Graph(n, pairs)
-    except ValueError as e:
-        raise FileFormatError(f"{path}: {e}") from None
+    return _load_pairs(path, "edges", "edge", families.Graph)
 
 
 def load_poset_file(path: str) -> tuple[families.Poset, bool]:
@@ -131,26 +130,24 @@ def load_poset_file(path: str) -> tuple[families.Poset, bool]:
     Returns the poset and whether the input was already transitively
     closed (the closure is always taken).
     """
-    n, pairs = _load_pairs(path, "relations", "relation")
-    try:
+    def build(n: int, pairs: list) -> tuple[families.Poset, bool]:
         poset = families.Poset.from_relations(n, pairs)
-    except ValueError as e:
-        raise FileFormatError(f"{path}: {e}") from None
-    return poset, poset.is_transitively_closed_input(pairs)
+        return poset, poset.is_transitively_closed_input(pairs)
+    return _load_pairs(path, "relations", "relation", build)
 
 
-_NAMED = {"simplex": "size", "cube": "size", "fixture": "name"}  # what the one parameter is
+_NAMED = {"simplex": "SIZE", "cube": "SIZE", "fixture": "NAME"}  # what the one parameter is
 
 
-def _named(kind: str, arg: str, spec: str) -> tuple[str, Polytope]:
-    """``(arg as parsed, polytope)`` for simplex N, cube N or fixture NAME; errors quote spec."""
+def _named(kind: str, arg: str, spec: str) -> tuple[Polytope, str]:
+    """``(polytope, arg as parsed)`` for simplex N, cube N or fixture NAME; errors quote spec."""
     if kind == "fixture":
-        return arg, families.fixture(arg)
+        return families.fixture(arg), arg
     try:
         n = int(arg)
     except ValueError:
         raise FileFormatError(f"bad numeric argument in spec {spec!r}") from None
-    return str(n), (families.simplex if kind == "simplex" else families.cube)(n)
+    return (families.simplex if kind == "simplex" else families.cube)(n), str(n)
 
 
 def build_from_spec(spec: str) -> Polytope:
@@ -163,7 +160,7 @@ def build_from_spec(spec: str) -> Polytope:
         raise FileFormatError(
             f"cannot resolve {spec!r}: expected simplex:N, cube:N, fixture:NAME, "
             f"or a path to a polytope JSON file")
-    return _named(kind, arg, spec)[1]
+    return _named(kind, arg, spec)[0]
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -178,54 +175,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _product(specs: list[str]) -> Polytope:
+    if len(specs) < 2:  # beyond what an argparse nargs can require
+        raise FileFormatError("product needs at least two --of specs")
+    return reduce(families.product, [build_from_spec(s) for s in specs])
+
+
+def _order(path: str) -> Polytope:
+    poset, closed = load_poset_file(path)
+    if not closed:
+        print("warning: relations were not transitively closed; closure taken",
+              file=sys.stderr)
+    return families.order_polytope(poset)
+
+
 @_input_boundary()
 def _cmd_make(args: argparse.Namespace) -> int:
-    ctor = args.ctor
-    params = args.params
-    name_parts = [ctor]
-    if ctor in _NAMED:
-        if len(params) != 1:
-            raise FileFormatError(f"{ctor} takes exactly one {_NAMED[ctor]} parameter")
-        part, p = _named(ctor, params[0], params[0])
-        name_parts.append(part)
-    elif ctor == "product":
-        if not args.of or len(args.of) < 2:
-            raise FileFormatError("product needs at least two --of specs")
-        parts = [build_from_spec(s) for s in args.of]
-        p = parts[0]
-        for q in parts[1:]:
-            p = families.product(p, q)
-        name_parts.extend(s.replace(":", "_").replace("/", "_") for s in args.of)
-    elif ctor == "pyramid":
-        if not args.of or len(args.of) != 1:
-            raise FileFormatError("pyramid needs exactly one --of spec")
-        p = families.pyramid(build_from_spec(args.of[0]), args.lift)
-        name_parts.append(args.of[0].replace(":", "_").replace("/", "_"))
-    elif ctor == "dilate":
-        if not args.of or len(args.of) != 1:
-            raise FileFormatError("dilate needs exactly one --of spec")
-        p = families.dilate(build_from_spec(args.of[0]), args.factor)
-        name_parts.append(args.of[0].replace(":", "_").replace("/", "_"))
-        name_parts.append(str(args.factor))
-    elif ctor == "order":
-        if not args.poset:
-            raise FileFormatError("order needs --poset FILE")
-        poset, closed = load_poset_file(args.poset)
-        if not closed:
-            print("warning: relations were not transitively closed; closure taken",
-                  file=sys.stderr)
-        p = families.order_polytope(poset)
-    elif ctor == "stableset":
-        if not args.graph:
-            raise FileFormatError("stableset needs --graph FILE")
-        p = families.stable_set_polytope(load_graph_file(args.graph))
-    elif ctor == "edge":
-        if not args.graph:
-            raise FileFormatError("edge needs --graph FILE")
-        p = families.edge_polytope(load_graph_file(args.graph))
-    else:
-        raise FileFormatError(f"unknown constructor {ctor!r}")
-    name = args.name or "_".join(name_parts)
+    p, *parts = args.make(args)
+    name = args.name or "_".join([args.ctor, *parts]).replace(":", "_").replace("/", "_")
     write_polytope_file(args.output, name, p)
     print(f"wrote {args.output}: {name}, {len(p.vertices)} vertices in R^{p.ambient_dim}")
     return 0
@@ -234,23 +201,27 @@ def _cmd_make(args: argparse.Namespace) -> int:
 def _family(args: argparse.Namespace, labels: list[str]) -> Iterator[Polytope]:
     """Yield the family ``verify`` checks, appending each member's label to ``labels``."""
     explicit_family = args.exhaustive or args.samples is not None
+    dim, seed = 3 if args.dim is None else args.dim, args.seed or 0
     with _input_boundary():
         if args.fixtures or not explicit_family:
             for fname in families.fixture_names():
                 labels.append(f"fixture {fname}")
                 yield families.fixture(fname)
         if args.exhaustive:
-            for i, p in enumerate(families.all_01_polytopes(args.dim)):
-                labels.append(f"exhaustive dim {args.dim} #{i}")
+            for i, p in enumerate(families.all_01_polytopes(dim)):
+                labels.append(f"exhaustive dim {dim} #{i}")
                 yield p
         if args.samples is not None:
-            for i, p in enumerate(families.random_01_polytopes(args.dim, args.samples,
-                                                               args.seed)):
-                labels.append(f"sample dim {args.dim} #{i} (seed {args.seed})")
+            for i, p in enumerate(families.random_01_polytopes(dim, args.samples, seed)):
+                labels.append(f"sample dim {dim} #{i} (seed {seed})")
                 yield p
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.samples is None:
+        raise FileFormatError("--seed needs --samples")
+    if args.dim is not None and not (args.exhaustive or args.samples is not None):
+        raise FileFormatError("--dim needs --exhaustive or --samples")
     # The family is streamed; first_index is the failing member's own
     # position in the stream, so labels[first_index] is its label.
     labels: list[str] = []
@@ -289,29 +260,50 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analyze)
 
     pm = sub.add_parser("make", help="build a polytope and write it to a file")
-    pm.add_argument("ctor", metavar="CTOR",
-                    help="one of: simplex, cube, product, pyramid, dilate, "
-                         "order, stableset, edge, fixture")
-    pm.add_argument("params", nargs="*", default=[],
-                    help="positional parameters (size or fixture name)")
-    pm.add_argument("--of", nargs="+", metavar="SPEC",
-                    help="input polytopes: simplex:N, cube:N, fixture:NAME, or a JSON path")
-    pm.add_argument("--lift", type=int, default=1, help="pyramid apex height (default 1)")
-    pm.add_argument("--factor", type=int, default=2, help="dilation factor (default 2)")
-    pm.add_argument("--poset", help="poset JSON file for the order polytope")
-    pm.add_argument("--graph", help="graph JSON file for stableset/edge polytopes")
-    pm.add_argument("--name", help="name stored in the output file")
-    pm.add_argument("-o", "--output", required=True, help="output polytope JSON file")
-    pm.set_defaults(func=_cmd_make)
+    ctors = pm.add_subparsers(dest="ctor", metavar="CTOR", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--name", help="name stored in the output file")
+    common.add_argument("-o", "--output", required=True, help="output polytope JSON file")
+    spec = "input polytope: simplex:N, cube:N, fixture:NAME, or a JSON path"
+
+    def ctor(kind: str, summary: str, make: Callable[[argparse.Namespace], tuple]
+             ) -> argparse.ArgumentParser:
+        """Add constructor ``kind``; ``make(args)`` is (polytope, *default name parts)."""
+        c = ctors.add_parser(kind, help=summary, parents=[common])
+        c.set_defaults(func=_cmd_make, make=make)
+        return c
+
+    for kind, meta in _NAMED.items():
+        c = ctor(kind, f"the {kind} of the given {meta.lower()}",
+                 lambda a: _named(a.ctor, a.param, a.param))
+        c.add_argument("param", metavar=meta)
+    c = ctor("product", "product of two or more polytopes", lambda a: (_product(a.of), *a.of))
+    c.add_argument("--of", nargs="+", required=True, metavar="SPEC", help=spec + " (two or more)")
+    c = ctor("pyramid", "lattice pyramid over a polytope",
+             lambda a: (families.pyramid(build_from_spec(a.of), a.lift), a.of))
+    c.add_argument("--of", required=True, metavar="SPEC", help=spec)
+    c.add_argument("--lift", type=int, default=1, help="apex height (default 1)")
+    c = ctor("dilate", "dilation of a polytope",
+             lambda a: (families.dilate(build_from_spec(a.of), a.factor), a.of, str(a.factor)))
+    c.add_argument("--of", required=True, metavar="SPEC", help=spec)
+    c.add_argument("--factor", type=int, default=2, help="dilation factor (default 2)")
+    c = ctor("order", "order polytope of a poset", lambda a: (_order(a.poset),))
+    c.add_argument("--poset", required=True, metavar="FILE", help="poset JSON file")
+    for kind, summary, build in (("stableset", "stable set", families.stable_set_polytope),
+                                 ("edge", "edge", families.edge_polytope)):
+        c = ctor(kind, f"{summary} polytope of a graph",
+                 lambda a, build=build: (build(load_graph_file(a.graph)),))
+        c.add_argument("--graph", required=True, metavar="FILE", help="graph JSON file")
 
     pv = sub.add_parser("verify", help="run the implication battery over families")
-    pv.add_argument("--dim", type=int, default=3, help="dimension for family generation")
+    pv.add_argument("--dim", type=int,
+                    help="dimension of the --exhaustive or --samples family (default 3)")
     group = pv.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true",
                        help="all full-dimensional (0,1)-polytopes of the given dimension")
     group.add_argument("--samples", type=int, default=None, metavar="K",
                        help="number of seeded random (0,1)-polytopes")
-    pv.add_argument("--seed", type=int, default=0, help="seed for --samples")
+    pv.add_argument("--seed", type=int, help="seed for --samples (default 0)")
     pv.add_argument("--fixtures", action="store_true",
                     help="include the named fixture polytopes (default when no family given)")
     pv.set_defaults(func=_cmd_verify)

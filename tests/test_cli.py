@@ -16,9 +16,17 @@ from polyclass import analysis, cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    """(exit code, stdout, stderr) of one command line, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def last_line(text):
+    return text.splitlines()[-1] if text else ""
 
 
 def write_json(path, doc):
@@ -189,6 +197,15 @@ class TestAnalyzeCommand:
             cli.main(["analyze", path])
 
 
+# The options each make constructor reads, besides --name and -o, and a
+# value for each option; nothere.json names no file.
+READS = {"simplex": (), "cube": (), "fixture": (), "product": ("--of",),
+         "pyramid": ("--of", "--lift"), "dilate": ("--of", "--factor"),
+         "order": ("--poset",), "stableset": ("--graph",), "edge": ("--graph",)}
+STRAY = {"--of": "cube:1", "--lift": "5", "--factor": "9",
+         "--graph": "nothere.json", "--poset": "nothere.json"}
+
+
 class TestMakeCommand:
     def test_simplex(self, capsys, tmp_path):
         out_file = tmp_path / "t.json"
@@ -263,12 +280,13 @@ class TestMakeCommand:
             cli.main(["make"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "error: the following arguments are required: CTOR, -o/--output\n" in err
+        assert last_line(err) == "polyclass make: error: the following arguments are required: CTOR"
 
     def test_unknown_constructor_exits_one(self, capsys, tmp_path):
-        code, _, err = run(capsys, "make", "frobnicate", "-o", str(tmp_path / "x.json"))
-        assert code == 1
-        assert "unknown constructor" in err
+        code, out, err = run(capsys, "make", "frobnicate", "-o", str(tmp_path / "x.json"))
+        assert (code, out) == (1, "")
+        assert last_line(err).startswith(
+            "polyclass make: error: argument CTOR: invalid choice: 'frobnicate'")
 
     def test_bad_graph_file_exits_one(self, capsys, tmp_path):
         graph = write_json(tmp_path / "loop.json", {"n": 2, "edges": [[0, 0]]})
@@ -296,23 +314,73 @@ class TestMakeCommand:
         name, _ = cli.load_polytope_file(str(out_file))
         assert name == "flatland"
 
+    # argparse checks every arity but product's: nargs cannot require two
+    # or more, so that one message is polyclass's own.  The usage line
+    # above an argparse message wraps differently across Python versions.
     @pytest.mark.parametrize("argv, message", [
-        (["simplex"], "simplex takes exactly one size parameter"),
-        (["cube", "1", "2"], "cube takes exactly one size parameter"),
-        (["fixture"], "fixture takes exactly one name parameter"),
+        (["simplex"], "the following arguments are required: SIZE"),
+        (["cube", "1", "2"], "unrecognized arguments: 2"),
+        (["fixture"], "the following arguments are required: NAME"),
         (["product", "--of", "cube:1"], "product needs at least two --of specs"),
-        (["product"], "product needs at least two --of specs"),
-        (["pyramid", "--of", "cube:1", "cube:1"], "pyramid needs exactly one --of spec"),
-        (["dilate"], "dilate needs exactly one --of spec"),
-        (["order"], "order needs --poset FILE"),
-        (["stableset"], "stableset needs --graph FILE"),
-        (["edge"], "edge needs --graph FILE"),
+        (["product"], "the following arguments are required: --of"),
+        (["pyramid", "--of", "cube:1", "cube:1"], "unrecognized arguments: cube:1"),
+        (["dilate"], "the following arguments are required: --of"),
+        (["order"], "the following arguments are required: --poset"),
+        (["stableset"], "the following arguments are required: --graph"),
+        (["edge"], "the following arguments are required: --graph"),
     ], ids=["simplex", "cube", "fixture", "product-one", "product-none", "pyramid-two",
             "dilate", "order", "stableset", "edge"])
     def test_arity_error_exits_one(self, capsys, tmp_path, argv, message):
         out_file = tmp_path / "x.json"
         code, out, err = run(capsys, "make", *argv, "-o", str(out_file))
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out) == (1, "")
+        assert last_line(err).endswith(f"error: {message}")
+        assert not out_file.exists()
+
+    @staticmethod
+    def valid_argv(ctor, tmp_path):
+        """A command line that ``make ctor`` accepts, the -o option included."""
+        graph = write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, 1]]})
+        poset = write_json(tmp_path / "p.json", {"n": 2, "relations": [[0, 1]]})
+        own = {"simplex": ["2"], "cube": ["2"], "fixture": ["P1"],
+               "product": ["--of", "simplex:1", "simplex:1"], "pyramid": ["--of", "cube:1"],
+               "dilate": ["--of", "cube:1"], "order": ["--poset", poset],
+               "stableset": ["--graph", graph], "edge": ["--graph", graph]}[ctor]
+        return [ctor, *own, "-o", str(tmp_path / "x.json")]
+
+    @pytest.mark.parametrize("ctor, option", [
+        (ctor, option) for ctor, reads in READS.items() for option in STRAY
+        if option not in reads])
+    def test_option_the_constructor_does_not_read_exits_one(self, capsys, tmp_path,
+                                                             ctor, option):
+        # Refused as stray before anything is opened, so nothere.json is never read.
+        argv = self.valid_argv(ctor, tmp_path)
+        code, out, err = run(capsys, "make", *argv, option, STRAY[option])
+        assert (code, out) == (1, "")
+        assert last_line(err).endswith(
+            f"error: unrecognized arguments: {option} {STRAY[option]}")
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("ctor", list(READS))
+    def test_valid_argv_is_accepted(self, capsys, tmp_path, ctor):
+        code, out, _ = run(capsys, "make", *self.valid_argv(ctor, tmp_path))
+        assert code == 0
+        assert out.startswith(f"wrote {tmp_path / 'x.json'}: {ctor}")
+
+    @pytest.mark.parametrize("ctor", list(READS))
+    def test_constructor_help_lists_only_its_options(self, capsys, ctor):
+        code, out, _ = run(capsys, "make", ctor, "-h")
+        assert code == 0
+        assert out.startswith(f"usage: polyclass make {ctor} ")
+        for option in STRAY:
+            assert (option in out) == (option in READS[ctor]), option
+        assert "--name" in out and "--output" in out
+
+    def test_options_before_the_constructor_are_refused(self, capsys, tmp_path):
+        out_file = tmp_path / "x.json"
+        code, out, err = run(capsys, "make", "-o", str(out_file), "simplex", "2")
+        assert (code, out) == (1, "")
+        assert "error:" in last_line(err)
         assert not out_file.exists()
 
     def test_stable_set_polytope_from_graph_file(self, capsys, tmp_path):
@@ -406,6 +474,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--dim", "2", "--exhaustive", "--fixtures")
         assert code == 0
         assert "verified 9 polytope(s)" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "5"], "--seed needs --samples"),
+        (["--seed", "5", "--exhaustive"], "--seed needs --samples"),
+        (["--dim", "7"], "--dim needs --exhaustive or --samples"),
+        (["--dim", "2", "--fixtures"], "--dim needs --exhaustive or --samples"),
+    ], ids=["seed", "seed-exhaustive", "dim", "dim-fixtures"])
+    def test_option_without_its_family_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_dim_zero_reaches_the_range_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--dim", "0", "--exhaustive")
+        assert (code, out) == (1, "")
+        assert err == "error: exhaustive enumeration supported for dimensions 1..4\n"
 
     def test_exhaustive_guard_exits_one(self, capsys):
         code, _, err = run(capsys, "verify", "--dim", "9", "--exhaustive")
