@@ -201,7 +201,8 @@ def _cmd_make(args: argparse.Namespace) -> int:
 def _family(args: argparse.Namespace, labels: list[str]) -> Iterator[Polytope]:
     """Yield the family ``verify`` checks, appending each member's label to ``labels``."""
     explicit_family = args.exhaustive or args.samples is not None
-    dim, seed = 3 if args.dim is None else args.dim, args.seed or 0
+    dim = 3 if args.dim is None else args.dim
+    seed = args.seed or 0
     with _input_boundary():
         if args.fixtures or not explicit_family:
             for fname in families.fixture_names():

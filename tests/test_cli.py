@@ -315,26 +315,30 @@ class TestMakeCommand:
         assert name == "flatland"
 
     # argparse checks every arity but product's: nargs cannot require two
-    # or more, so that one message is polyclass's own.  The usage line
-    # above an argparse message wraps differently across Python versions.
-    @pytest.mark.parametrize("argv, message", [
-        (["simplex"], "the following arguments are required: SIZE"),
-        (["cube", "1", "2"], "unrecognized arguments: 2"),
-        (["fixture"], "the following arguments are required: NAME"),
-        (["product", "--of", "cube:1"], "product needs at least two --of specs"),
-        (["product"], "the following arguments are required: --of"),
-        (["pyramid", "--of", "cube:1", "cube:1"], "unrecognized arguments: cube:1"),
-        (["dilate"], "the following arguments are required: --of"),
-        (["order"], "the following arguments are required: --poset"),
-        (["stableset"], "the following arguments are required: --graph"),
-        (["edge"], "the following arguments are required: --graph"),
+    # or more, so that one message is polyclass's own and printed alone.  The
+    # usage line above an argparse message wraps differently across Python
+    # versions, so only argparse's message line is matched.
+    @pytest.mark.parametrize("argv, message, own", [
+        (["simplex"], "the following arguments are required: SIZE", False),
+        (["cube", "1", "2"], "unrecognized arguments: 2", False),
+        (["fixture"], "the following arguments are required: NAME", False),
+        (["product", "--of", "cube:1"], "product needs at least two --of specs", True),
+        (["product"], "the following arguments are required: --of", False),
+        (["pyramid", "--of", "cube:1", "cube:1"], "unrecognized arguments: cube:1", False),
+        (["dilate"], "the following arguments are required: --of", False),
+        (["order"], "the following arguments are required: --poset", False),
+        (["stableset"], "the following arguments are required: --graph", False),
+        (["edge"], "the following arguments are required: --graph", False),
     ], ids=["simplex", "cube", "fixture", "product-one", "product-none", "pyramid-two",
             "dilate", "order", "stableset", "edge"])
-    def test_arity_error_exits_one(self, capsys, tmp_path, argv, message):
+    def test_arity_error_exits_one(self, capsys, tmp_path, argv, message, own):
         out_file = tmp_path / "x.json"
         code, out, err = run(capsys, "make", *argv, "-o", str(out_file))
         assert (code, out) == (1, "")
-        assert last_line(err).endswith(f"error: {message}")
+        if own:
+            assert err == f"error: {message}\n"
+        else:
+            assert last_line(err).endswith(f"error: {message}")
         assert not out_file.exists()
 
     @staticmethod
@@ -354,18 +358,14 @@ class TestMakeCommand:
     def test_option_the_constructor_does_not_read_exits_one(self, capsys, tmp_path,
                                                              ctor, option):
         # Refused as stray before anything is opened, so nothere.json is never read.
+        # Any fault in the rest of the command line would change the message
+        # below, so it also shows that ``valid_argv`` is valid.
         argv = self.valid_argv(ctor, tmp_path)
         code, out, err = run(capsys, "make", *argv, option, STRAY[option])
         assert (code, out) == (1, "")
         assert last_line(err).endswith(
             f"error: unrecognized arguments: {option} {STRAY[option]}")
         assert not (tmp_path / "x.json").exists()
-
-    @pytest.mark.parametrize("ctor", list(READS))
-    def test_valid_argv_is_accepted(self, capsys, tmp_path, ctor):
-        code, out, _ = run(capsys, "make", *self.valid_argv(ctor, tmp_path))
-        assert code == 0
-        assert out.startswith(f"wrote {tmp_path / 'x.json'}: {ctor}")
 
     @pytest.mark.parametrize("ctor", list(READS))
     def test_constructor_help_lists_only_its_options(self, capsys, ctor):
