@@ -62,20 +62,42 @@ CROSS_8 = "p = Polytope([tuple(s * (i == j) for j in range(8)) for i in range(8)
 EDGE_K10 = "p = edge_polytope(Graph(10, combinations(range(10), 2)))"
 STABLE_P9 = "p = stable_set_polytope(Graph(9, [(i, i + 1) for i in range(8)]))"
 STABLE_C9 = "p = stable_set_polytope(Graph(9, [(i, (i + 1) % 9) for i in range(9)]))"
+# One seeded unimodular shear U of R^n, starting from U = I: 3n times,
+# add c times row j to row i, for a random pair i != j and c in ±1, ±2.
+# Each vertex v maps to Uv, so the image is normal exactly when p is.
+SHEAR = """
+import random
+from operator import mul
+def shear(p):
+    n, rng = p.ambient_dim, random.Random(1)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return Polytope([tuple(sum(map(mul, row, v)) for row in U) for v in p.vertices])
+"""
+SHEARED_D4xD4 = SHEAR + "p = shear(product(simplex(4), simplex(4)))"
+SHEARED_CUBE_7 = SHEAR + "p = shear(cube(7))"
 MEMORY_WALL = pytest.mark.xfail(strict=True, reason="MemoryError under the 2 GiB limit")
+SHEAR_WALL = pytest.mark.xfail(strict=True, reason="the slicing walk's cost grows with the shear")
 
 
-@pytest.mark.parametrize("setup", [
-    BIRKHOFF_4, EDGE_K10, CROSS_8,
-    pytest.param(STABLE_P9, marks=MEMORY_WALL),
-    pytest.param(STABLE_C9, marks=MEMORY_WALL),
-], ids=["birkhoff-4", "edge-K10", "cross-8", "stable-set-P9", "stable-set-C9"])
-def test_is_normal(setup):
-    assert evaluate(setup, "is_normal(p)") == "True"
+@pytest.mark.parametrize("setup, timeout", [
+    (BIRKHOFF_4, TIMEOUT_S), (EDGE_K10, TIMEOUT_S), (CROSS_8, TIMEOUT_S),
+    pytest.param(STABLE_P9, TIMEOUT_S, marks=MEMORY_WALL),
+    pytest.param(STABLE_C9, TIMEOUT_S, marks=MEMORY_WALL),
+    (SHEARED_D4xD4, TIMEOUT_S),
+    pytest.param(SHEARED_CUBE_7, 60, marks=SHEAR_WALL),
+], ids=["birkhoff-4", "edge-K10", "cross-8", "stable-set-P9", "stable-set-C9",
+        "sheared-D4xD4", "sheared-cube-7"])
+def test_is_normal(setup, timeout):
+    assert evaluate(setup, "is_normal(p)", timeout) == "True"
 
 
-# The two walls below hang rather than run out of memory, and a fix
-# answers them in well under a second, so they get a shorter timeout.
+# A fix answers the two walls below in well under a second, so they get
+# a shorter timeout. The thin polytope hangs; 1000·Δ3 may hang or run
+# out of memory.
 @pytest.mark.xfail(strict=True, reason="enumerates C(1003, 3) lattice points")
 def test_dilated_simplex_facets():
     # Each facet keeps a value for every lattice point of 1000·Δ3.

@@ -6,13 +6,13 @@
 sampled families and reports a pass-fail table.
 
 Exit codes: 0 success, 1 usage or input error (a bad command line,
-malformed JSON, floats where integers are required, points that are not
-vertices, an input or ``make -o`` file that cannot be opened:
-``error: <path>: <reason>``),
+reported by the command it was given to; malformed JSON, floats, points
+that are not vertices, an input or ``make -o`` file that cannot be
+opened: each ``error: <path>: <reason>``),
 2 internal invariant violation, such as a unit-chain certificate that
 fails its revalidation, or a failed ``verify`` check (either way a
 computed result contradicts the theory).  Validation errors count as
-bad input only where the input becomes polytopes (``analyze``'s
+bad input only where the input becomes polytopes (a polytope file's
 ``Polytope``, all of ``make``, the ``verify`` family); any other
 exception propagates with its traceback.
 """
@@ -46,21 +46,20 @@ def _input_boundary() -> Iterator[None]:
         raise FileFormatError(str(e)) from e
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise FileFormatError(f"{path}: {e}") from None
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except (RecursionError, ValueError) as e:
-        # Nesting past the recursion limit, or an int over the digit limit.
+        # Not UTF-8, nesting past the recursion limit, or an int over the digit limit.
         raise FileFormatError(f"{path}: {e}") from None
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
+    return data
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -69,24 +68,22 @@ def _require_int(value: Any, where: str) -> int:
     return value
 
 
-def load_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
-    """Read {"name": str, "vertices": [[int, ...], ...]}; floats are rejected."""
+def load_polytope_file(path: str) -> tuple[str, Polytope]:
+    """Read {"name": str, "vertices": [[int, ...], ...]}; ``Polytope`` checks the coordinates."""
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
     name = data.get("name", os.path.splitext(os.path.basename(path))[0])
     if not isinstance(name, str):
         raise FileFormatError(f"{path}: \"name\" must be a string")
     verts = data.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise FileFormatError(f"{path}: \"vertices\" must be a nonempty array")
-    out = []
     for i, row in enumerate(verts):
         if not isinstance(row, list):
             raise FileFormatError(f"{path}: vertex {i} must be an array")
-        out.append(tuple(_require_int(v, f"{path}: vertex {i}, coordinate {j}")
-                         for j, v in enumerate(row)))
-    return name, out
+    try:
+        return name, Polytope(verts)
+    except (ValueError, TypeError) as e:
+        raise FileFormatError(f"{path}: {e}") from None
 
 
 def write_polytope_file(path: str, name: str, p: Polytope) -> None:
@@ -102,8 +99,6 @@ def write_polytope_file(path: str, name: str, p: Polytope) -> None:
 def _load_pairs(path: str, key: str, noun: str, build: Callable[[int, list], Any]) -> Any:
     """Read {"n": int, <key>: [[int, int], ...]} into build(n, pairs); ``noun`` names a pair."""
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
     n = _require_int(data.get("n"), f"{path}: \"n\"")
     items = data.get(key)
     if not isinstance(items, list):
@@ -153,8 +148,7 @@ def _named(kind: str, arg: str, spec: str) -> tuple[Polytope, str]:
 def build_from_spec(spec: str) -> Polytope:
     """Resolve a constructor spec: name:arg (simplex:2, cube:3, fixture:P1) or a JSON path."""
     if spec.endswith(".json") or os.path.exists(spec):
-        _, verts = load_polytope_file(spec)
-        return Polytope(verts)
+        return load_polytope_file(spec)[1]
     kind, _, arg = spec.partition(":")
     if kind not in _NAMED:
         raise FileFormatError(
@@ -164,9 +158,7 @@ def build_from_spec(spec: str) -> Polytope:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    name, verts = load_polytope_file(args.file)
-    with _input_boundary():
-        p = Polytope(verts)
+    name, p = load_polytope_file(args.file)
     rep = analyze(p, name=name)
     if args.json:
         sys.stdout.write(rep.to_json())
@@ -242,6 +234,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, subparsers too: a bad command line is bad input."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Refused here, not handed up, so the command given a stray option names itself.
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

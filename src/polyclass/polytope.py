@@ -81,21 +81,6 @@ class FacetData(NamedTuple):
     divisor: int
 
 
-def _validate_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
-    pts = []
-    for p in points:
-        tp = tuple(p)
-        for v in tp:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"vertex coordinates must be int, got {v!r}")
-        pts.append(tuple(int(v) for v in tp))
-    if not pts:
-        raise ValueError("a polytope needs at least one vertex")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise ValueError("all vertices must have the same dimension")
-    return pts
-
-
 class Polytope:
     """Convex hull of integer points, canonicalized to lex-sorted vertices.
 
@@ -109,7 +94,17 @@ class Polytope:
     __slots__ = ("vertices", "dim", "__dict__")
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
-        verts = _validate_vertices(vertices)
+        verts = []
+        for i, p in enumerate(map(tuple, vertices)):
+            for j, v in enumerate(p):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise TypeError(f"vertex {i}, coordinate {j}: "
+                                    f"expected an integer, got {v!r}")
+            verts.append(tuple(int(v) for v in p))
+        if not verts:
+            raise ValueError("a polytope needs at least one vertex")
+        if any(len(p) != len(verts[0]) for p in verts):
+            raise ValueError("all vertices must have the same dimension")
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
         self.vertices = tuple(sorted(verts))

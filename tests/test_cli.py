@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyclass import InvariantViolation, Polytope, cube, fixture, pyramid, random_01_polytopes
 from polyclass import analysis, cli
@@ -38,9 +41,9 @@ class TestPolytopeFiles:
     def test_round_trip(self, tmp_path):
         target = tmp_path / "square.json"
         cli.write_polytope_file(str(target), "square", cube(2))
-        name, verts = cli.load_polytope_file(str(target))
+        name, p = cli.load_polytope_file(str(target))
         assert name == "square"
-        assert Polytope(verts) == cube(2)
+        assert p == cube(2)
 
     def test_name_defaults_to_file_stem(self, tmp_path):
         path = write_json(tmp_path / "mything.json", {"vertices": [[0], [1]]})
@@ -95,12 +98,22 @@ class TestPolytopeFiles:
         ({"n": 2}, '"relations" must be an array'),
         ({"n": 2, "relations": [[1]]}, "relation 0 must be a pair"),
         ({"n": 2, "relations": [[0, 1], [1, 0]]}, "cycle between 0 and 1: not a partial order"),
-    ], ids=["no-relations", "single", "cycle"])
+        ([[0, 1]], "top level must be an object"),
+    ], ids=["no-relations", "single", "cycle", "not-an-object"])
     def test_rejects_a_misshapen_poset(self, tmp_path, doc, message):
         path = write_json(tmp_path / "bad.json", doc)
         with pytest.raises(cli.FileFormatError) as err:
             cli.load_poset_file(path)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("load", [cli.load_graph_file, cli.load_poset_file],
+                             ids=["graph", "poset"])
+    def test_undecodable_file_names_itself(self, tmp_path, load):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": 2, "edges": [[0, \xff]]}')
+        with pytest.raises(cli.FileFormatError) as err:
+            load(str(path))
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -109,6 +122,51 @@ class TestPolytopeFiles:
             cli.load_polytope_file(str(path))
         msg = str(err.value)
         assert "line" in msg and "column" in msg
+
+
+# Any JSON value in "vertices": mostly well-shaped integer rows, which
+# reach the analysis, and otherwise any nesting of JSON scalars.
+JSON_SCALARS = st.one_of(st.integers(-2, 2), st.floats(allow_nan=False, allow_infinity=False),
+                         st.booleans(), st.text(max_size=3), st.none())
+INTEGER_ROWS = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=8))
+ANY_ROWS = st.lists(st.one_of(JSON_SCALARS, st.lists(
+    st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2)), max_size=4)), max_size=8)
+
+
+class TestRefusedPolytopeFiles:
+    """Every refusal of a polytope file reads ``error: <path>: <reason>``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{file}"],
+        ["make", "product", "--of", "{file}", "simplex:1", "-o", "{out}"],
+    ], ids=["analyze", "make-product"])
+    @pytest.mark.parametrize("vertices, reason", [
+        ([[0], [1], [0]], "duplicate vertices"),
+        ([[0, 0], [1]], "all vertices must have the same dimension"),
+        ([[0], [1], [2]], "point (1,) is not a vertex of the hull"),
+        ([[0, 0], [1.5, 0], [0, 1]], "vertex 1, coordinate 0: expected an integer, got 1.5"),
+        ([[0, 0], [1, True]], "vertex 1, coordinate 1: expected an integer, got True"),
+    ], ids=["duplicate", "ragged", "non-vertex", "float", "bool"])
+    def test_refusal_names_the_file(self, capsys, tmp_path, argv, vertices, reason):
+        path = write_json(tmp_path / "bad.json", {"vertices": vertices})
+        out_file = tmp_path / "x.json"
+        code, out, err = run(capsys, *(a.format(file=path, out=out_file) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {path}: {reason}\n")
+        assert not out_file.exists()
+
+    @settings(deadline=None, max_examples=150)
+    @given(vertices=st.one_of(INTEGER_ROWS, ANY_ROWS, JSON_SCALARS))
+    def test_any_vertices_value_exits_zero_or_one(self, tmp_path_factory, vertices):
+        path = write_json(tmp_path_factory.mktemp("any") / "p.json", {"vertices": vertices})
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["analyze", path])
+        assert code in (0, 1)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(f"error: {path}: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestAnalyzeCommand:
@@ -212,32 +270,32 @@ class TestMakeCommand:
         code, out, _ = run(capsys, "make", "simplex", "2", "-o", str(out_file))
         assert code == 0
         assert "wrote" in out
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert Polytope(verts) == Polytope([(0, 0), (1, 0), (0, 1)])
+        _, p = cli.load_polytope_file(str(out_file))
+        assert p == Polytope([(0, 0), (1, 0), (0, 1)])
 
     def test_fixture_vertex_count(self, capsys, tmp_path):
         out_file = tmp_path / "p1.json"
         code, _, _ = run(capsys, "make", "fixture", "P1", "-o", str(out_file))
         assert code == 0
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert len(verts) == 6
+        _, p = cli.load_polytope_file(str(out_file))
+        assert len(p.vertices) == 6
 
     def test_product_of_specs(self, capsys, tmp_path):
         out_file = tmp_path / "prism.json"
         code, _, _ = run(capsys, "make", "product", "--of", "simplex:1", "simplex:2",
                          "-o", str(out_file))
         assert code == 0
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert len(verts) == 6
-        assert len(verts[0]) == 3
+        _, p = cli.load_polytope_file(str(out_file))
+        assert len(p.vertices) == 6
+        assert p.ambient_dim == 3
 
     def test_pyramid_with_lift(self, capsys, tmp_path):
         out_file = tmp_path / "pyr.json"
         code, _, _ = run(capsys, "make", "pyramid", "--of", "cube:2", "--lift", "2",
                          "-o", str(out_file))
         assert code == 0
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert (0, 0, 2) in {tuple(v) for v in verts}
+        _, p = cli.load_polytope_file(str(out_file))
+        assert (0, 0, 2) in p.vertices
 
     def test_dilate_file_input(self, capsys, tmp_path):
         seg = write_json(tmp_path / "seg.json", {"vertices": [[0], [1]]})
@@ -245,8 +303,8 @@ class TestMakeCommand:
         code, _, _ = run(capsys, "make", "dilate", "--of", seg, "--factor", "3",
                          "-o", str(out_file))
         assert code == 0
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert sorted(tuple(v) for v in verts) == [(0,), (3,)]
+        _, p = cli.load_polytope_file(str(out_file))
+        assert p.vertices == ((0,), (3,))
 
     def test_edge_polytope_from_graph_file(self, capsys, tmp_path):
         graph = write_json(tmp_path / "bridge.json", {
@@ -256,9 +314,9 @@ class TestMakeCommand:
         out_file = tmp_path / "edges.json"
         code, _, _ = run(capsys, "make", "edge", "--graph", graph, "-o", str(out_file))
         assert code == 0
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert len(verts) == 8
-        assert len(verts[0]) == 7
+        _, p = cli.load_polytope_file(str(out_file))
+        assert len(p.vertices) == 8
+        assert p.ambient_dim == 7
 
     def test_order_polytope_warns_about_closure(self, capsys, tmp_path):
         poset = write_json(tmp_path / "chain.json", {"n": 3, "relations": [[0, 1], [1, 2]]})
@@ -389,16 +447,16 @@ class TestMakeCommand:
         code, out, _ = run(capsys, "make", "stableset", "--graph", graph, "-o", str(out_file))
         assert code == 0
         assert out == f"wrote {out_file}: stableset, 5 vertices in R^3\n"
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert sorted(verts) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+        _, p = cli.load_polytope_file(str(out_file))
+        assert p.vertices == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1))
 
     def test_fixture_spec(self, capsys, tmp_path):
         out_file = tmp_path / "pyr.json"
         code, out, _ = run(capsys, "make", "pyramid", "--of", "fixture:P1", "-o", str(out_file))
         assert code == 0
         assert out == f"wrote {out_file}: pyramid_fixture_P1, 7 vertices in R^3\n"
-        _, verts = cli.load_polytope_file(str(out_file))
-        assert Polytope(verts) == pyramid(fixture("P1"))
+        _, p = cli.load_polytope_file(str(out_file))
+        assert p == pyramid(fixture("P1"))
 
     @pytest.mark.parametrize("spec, message", [
         ("frob:1", "cannot resolve 'frob:1': expected simplex:N, cube:N, fixture:NAME, "
@@ -554,6 +612,23 @@ class TestMain:
         assert exc.value.code == 1
         assert out.out == ""
         assert "usage: polyclass" in out.err and "error:" in out.err
+
+    @pytest.mark.parametrize("command", [*(["make", c] for c in READS), ["analyze"], ["verify"]],
+                             ids=[*READS, "analyze", "verify"])
+    def test_stray_option_is_reported_by_its_command(self, capsys, tmp_path, command):
+        if command[0] == "make":
+            argv = ["make", *TestMakeCommand.valid_argv(command[1], tmp_path)]
+        elif command[0] == "analyze":
+            argv = ["analyze", write_json(tmp_path / "s.json", {"vertices": [[0], [1]]})]
+        else:
+            argv = ["verify"]
+        option = "--factor" if command == ["make", "pyramid"] else "--lift"
+        prog = " ".join(["polyclass", *command])
+        code, out, err = run(capsys, *argv, option, "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: {prog} ")
+        assert last_line(err) == f"{prog}: error: unrecognized arguments: {option} 3"
+        assert not (tmp_path / "x.json").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Polytope([(Fraction(1, 2), 0), (1, 1)])
 
+    @pytest.mark.parametrize("verts, message", [
+        ([(0, 0), (1, 1.5)], "vertex 1, coordinate 1: expected an integer, got 1.5"),
+        ([(0, 1), (True, 0)], "vertex 1, coordinate 0: expected an integer, got True"),
+    ], ids=["float", "bool"])
+    def test_coordinate_error_names_its_position(self, verts, message):
+        with pytest.raises(TypeError) as err:
+            Polytope(verts)
+        assert str(err.value) == message
+
     def test_rejects_interior_point_listed_as_vertex(self):
         with pytest.raises(ValueError):
             Polytope([(0,), (1,), (2,)])
