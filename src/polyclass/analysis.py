@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -290,57 +291,42 @@ class UnitChain(_UnitChain):
 def k_number(p: Polytope) -> UnitChain:
     """Longest unit chain of the polytope, with a witness.
 
-    Depth-first search over facet sets.  The set of points usable at a
-    state depends only on the set of facets chosen so far (each used
-    point is off its own facet, hence never reusable), so states are
-    memoized on the chosen facet set.  For the same reason one point per
-    candidate facet suffices: any other unit point of that facet leads
-    to the same next state, already visited with a chain no shorter.
-    The point recorded is the lowest-index, that is lex-first, available
-    point with value 1 on the facet.  Point sets and facet sets are int
-    bitmasks: bit i of a facet's unit (zero) mask is set when lattice
-    point i has value 1 (0) on it, and a state is the mask of the chosen
-    facet ids, tried in increasing id order.  The chain length is capped
-    by dim + 1 and the search exits early on reaching the cap.
+    A used point is off its own facet, so the points usable after some
+    facets are chosen are those with value 0 on all of them.  That is a
+    function of the chosen set, and so is the longest continuation, which
+    ``longest`` memoizes exactly (its point mask follows from its facet
+    mask).  Any unit point of a facet leads to the same next state, so the
+    point taken is the lowest-index, lex-first, usable one.  Facets go in
+    increasing id order and only a strictly longer continuation replaces
+    the kept one, so the witness is the lex-first longest facet sequence.
+    No chain exceeds dim + 1, so a state stops once a continuation fills
+    its room.  Bit i of a facet's unit (zero) mask is set when lattice
+    point i has value 1 (0) on it.
     """
     pts = p.lattice_points
     facets = p.facets
-    cap = p.dim + 1
     unit = []
     zero = []
     for f in facets:
         unit.append(sum([1 << i for i, v in enumerate(f.row) if v == 1]))
         zero.append(sum([1 << i for i, v in enumerate(f.row) if v == 0]))
-    nf = len(facets)
-    best: list[tuple[int, int]] = []
-    visited: set[int] = set()
 
-    def dfs(avail: int, used_fs: int, chain: list[tuple[int, int]]) -> bool:
-        nonlocal best
-        if len(chain) > len(best):
-            best = list(chain)
-            if len(best) == cap:
-                return True
-        if used_fs in visited:
-            return False
-        visited.add(used_fs)
-        cands = []
-        for fid in range(nf):
-            if not used_fs >> fid & 1:
-                ch = unit[fid] & avail
-                if ch:
-                    cands.append((fid, (ch & -ch).bit_length() - 1))
-        if len(chain) + len(cands) <= len(best):
-            return False
-        for fid, i in cands:
-            chain.append((i, fid))
-            if dfs(avail & zero[fid], used_fs | 1 << fid, chain):
-                return True
-            chain.pop()
-        return False
+    @cache
+    def longest(used_fs: int, avail: int) -> tuple[tuple[int, int], ...]:
+        room = p.dim + 1 - used_fs.bit_count()
+        best: tuple[tuple[int, int], ...] = ()
+        for fid, u in enumerate(unit):
+            ch = u & avail  # 0 on a chosen facet: it vanishes on every usable point
+            if ch:
+                rest = longest(used_fs | 1 << fid, avail & zero[fid])
+                if len(rest) >= len(best):
+                    best = ((ch & -ch).bit_length() - 1, fid), *rest
+                    if len(best) == room:
+                        break
+        return best
 
-    dfs((1 << len(pts)) - 1, 0, [])
-    del dfs  # a recursive closure is a reference cycle: free its memo now, not at the next gc
+    best = longest(0, (1 << len(pts)) - 1)
+    del longest  # a recursive closure is a reference cycle: free its memo now, not at the next gc
     return UnitChain(
         points=tuple(pts[i] for i, _ in best),
         facet_ids=tuple(fid for _, fid in best),
@@ -460,6 +446,8 @@ def polytope_checks(p: Polytope) -> dict[str, Verdict]:
     it has for either normality.  No verdict infers normality from
     compressedness: a compressed, torsionfree P is still tested, so
     ``compressed_normal_torsionfree`` checks the paper's claim.
+    ``chain_length_bound`` cannot fail: a chain's facet values at its points form a
+    unit triangular matrix, so k <= dim + 1; the tests check k with an uncapped search.
     """
     cg = class_group(p)
     chain = k_number(p)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from math import gcd
 
@@ -551,6 +552,48 @@ def test_unit_chain_is_the_lex_first_longest_facet_sequence():
               + [p for p in deep if len(p.lattice_points) <= 12])
     for p in corpus:
         assert k_number(p) == unit_chain_by_search(p), p.vertices
+
+
+def test_unit_chain_witness_where_no_chain_reaches_dim_plus_one():
+    # Below dim + 1 no state stops early, so the memo and the facet order
+    # alone pick the witness.  Cross-polytopes and dilated simplices have
+    # short chains, as have many small integer hulls.
+    def cross(n):
+        return Polytope([tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
+
+    rng = random.Random(0)
+    hulls = []
+    for n, count, size, bound in ((3, 60, 10, 3), (4, 30, 12, 2)):
+        drawn = 0
+        while drawn < count:
+            p = hull_of_points([tuple(rng.randint(-bound, bound) for _ in range(n))
+                                for _ in range(size)])
+            if p.dim == n:
+                hulls.append(p)
+                drawn += 1
+    deep = [Polytope(v) for v in benchmark_workloads().deep_corpus().values()]
+    corpus = ([cross(n) for n in range(3, 6)]
+              + [dilate(simplex(3), 2), dilate(simplex(3), 3), dilate(simplex(4), 2)]
+              + deep + hulls)
+    short = 0
+    for p in corpus:
+        chain = k_number(p)
+        assert chain == unit_chain_by_search(p), p.vertices
+        short += chain.k < p.dim + 1
+    assert short >= 70
+
+
+def test_k_number_leaves_no_garbage_cycle():
+    # The memoized closure refers to itself; k_number deletes it before returning.
+    p = Polytope(benchmark_workloads().wide_pool(0)[0])
+    p.facets, p.lattice_points
+    gc.collect()
+    gc.disable()
+    try:
+        k_number(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def peel_with_count(p):
