@@ -232,8 +232,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's ``store``, refusing an option given a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, subparsers too: a bad command line is bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def parse_known_args(self, args=None, namespace=None):
         # Refused here, not handed up, so the command given a stray option names itself.
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("make", help="build a polytope and write it to a file")
     ctors = pm.add_subparsers(dest="ctor", metavar="CTOR", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--name", help="name stored in the output file")
     common.add_argument("-o", "--output", required=True, help="output polytope JSON file")
     spec = "input polytope: simplex:N, cube:N, fixture:NAME, or a JSON path"

@@ -163,18 +163,25 @@ class Polytope:
         Entry j is (lows, highs, least, most): that hull's :func:`_bounds`,
         from the bounded memo :func:`_prefix_bounds` a family's members
         share, and the vertices' least and greatest x_j.  For x_n the bounds
-        are the polytope's own, split on x_{n-1}: entry n - 1 keeps the forms
-        without an x_{n-1} term, and entry n is (var_lows, var_highs).  The
-        walk reads no entry in R^1, so there is none.
+        are the polytope's own, split on x_{n-1}: a form whose last term is
+        on x_{n-1}, with coefficient c, goes to entry n, (var_lows, var_highs),
+        as (terms without it, b, c, a); every other form stays in entry n - 1.
+        The walk reads no entry in R^1, so there is none.
         """
         n = self.ambient_dim
         if n < 2:
             return ()
-        lows, highs, var_lows, var_highs = _bounds(*self._hull, n - 1, split=True)
+        own, var = ([], []), ([], [])  # (lows, highs) of entries n - 1 and n
+        for side, forms in enumerate(_bounds(*self._hull, n - 1)):
+            for terms, b, a in forms:
+                if terms and terms[-1][0] == n - 2:
+                    var[side].append((terms[:-1], b, terms[-1][1], a))
+                else:
+                    own[side].append((terms, b, a))
         bounds = [_prefix_bounds(tuple(sorted({v[:j + 1] for v in self.vertices})))
-                  for j in range(n - 1)] + [(lows, highs)]
+                  for j in range(n - 1)] + [tuple(map(tuple, own))]
         return tuple([(*lh, min(col), max(col)) for lh, col in zip(bounds, zip(*self.vertices))]
-                     + [(var_lows, var_highs)])
+                     + [tuple(map(tuple, var))])
 
     def _scaled_lattice_points(self, h: int) -> tuple[Point, ...]:
         """Integer points of the dilation h*P in lex order, without building h*P.
@@ -400,34 +407,22 @@ def _hull_candidates(verts: tuple[Point, ...], d: int):
     return aff, sorted(facets, key=lambda fc: fc[1])
 
 
-def _bounds(aff, facets, j: int, split: bool = False) -> tuple[tuple, ...]:
+def _bounds(aff, facets, j: int) -> tuple[tuple, tuple]:
     """(lows, highs): the forms of the hull (aff, facets) in R^(j+1) with x_j in them.
 
     These are the facet forms with a positive and a negative x_j coefficient
     or, when an affine hull equation has x_j in it, it and its negation alone,
     each as (terms, b, a): the nonzero (index, coefficient) pairs on
     x_1..x_{j-1}, the constant, and the x_j coefficient, made positive.
-
-    With ``split`` (j >= 1), each side is split once more on the x_{j-1}
-    term, giving (lows, highs, var_lows, var_highs): a form without one
-    stays in lows or highs as above, and a form with coefficient c != 0
-    on x_{j-1} goes to var_lows or var_highs as (terms, b, c, a), its
-    terms without x_{j-1}.
     """
     eq = next(((a, b) for a, b in aff if a[j]), None)
     forms = ([form for form, _ in facets] if eq is None
              else [eq, (tuple([-c for c in eq[0]]), -eq[1])])
-    lows, highs, var_lows, var_highs = [], [], [], []
+    lows, highs = [], []
     for a, b in forms:
         if a[j]:
             terms = tuple([(i, c) for i, c in enumerate(a[:j]) if c])
-            if split and a[j - 1]:
-                (var_lows if a[j] > 0 else var_highs).append(
-                    (terms[:-1], b, a[j - 1], abs(a[j])))
-            else:
-                (lows if a[j] > 0 else highs).append((terms, b, abs(a[j])))
-    if split:
-        return tuple(lows), tuple(highs), tuple(var_lows), tuple(var_highs)
+            (lows if a[j] > 0 else highs).append((terms, b, abs(a[j])))
     return tuple(lows), tuple(highs)
 
 

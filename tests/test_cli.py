@@ -206,6 +206,14 @@ class TestAnalyzeCommand:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "478e9cd80cd8df7312e7b8f2c2bd916fb363fb9f89bfbe330d334cf88e9b71d9")
 
+    def test_repeated_flag_is_accepted(self, capsys, tmp_path):
+        # A flag may repeat; only an option that takes a value is refused twice.
+        path = write_json(tmp_path / "p3.json",
+                          {"name": "P3", "vertices": [[0, 0], [1, 4], [2, 5], [3, 1]]})
+        code, out, err = run(capsys, "analyze", path, "--json", "--json")
+        assert (code, err) == (0, "")
+        assert out == cli.analyze(Polytope([[0, 0], [1, 4], [2, 5], [3, 1]]), name="P3").to_json()
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/nowhere.json")
         assert code == 1
@@ -629,6 +637,37 @@ class TestMain:
         assert err.startswith(f"usage: {prog} ")
         assert last_line(err) == f"{prog}: error: unrecognized arguments: {option} 3"
         assert not (tmp_path / "x.json").exists()
+
+    # argparse's own store would keep the last value and drop the first
+    # silently, so each of these would exit 0.
+    @pytest.mark.parametrize("command, again, option", [
+        (["make", "pyramid"], ["--of", "fixture:P1"], "--of"),
+        (["make", "product"], ["--of", "cube:1", "cube:1"], "--of"),
+        (["make", "pyramid"], ["--lift", "1", "--lift", "2"], "--lift"),
+        (["make", "dilate"], ["--factor", "2", "--factor", "3"], "--factor"),
+        (["make", "order"], ["--poset", "p.json"], "--poset"),
+        (["make", "stableset"], ["--graph", "g.json"], "--graph"),
+        (["make", "edge"], ["--graph", "g.json"], "--graph"),
+        (["make", "cube"], ["--name", "a", "--name", "b"], "--name"),
+        (["make", "simplex"], ["-o", "y.json"], "-o/--output"),
+        (["make", "fixture"], ["--output", "y.json"], "-o/--output"),
+        (["verify"], ["--dim", "3", "--dim", "4"], "--dim"),
+        (["verify"], ["--seed", "0", "--seed", "1"], "--seed"),
+        (["verify"], ["--samples", "3"], "--samples"),
+    ], ids=["pyramid-of", "product-of", "lift", "factor", "poset", "stableset-graph",
+            "edge-graph", "name", "o-o", "o-output", "dim", "seed", "samples"])
+    def test_repeated_option_is_refused_by_its_command(self, capsys, tmp_path,
+                                                       command, again, option):
+        if command[0] == "make":
+            argv = ["make", *TestMakeCommand.valid_argv(command[1], tmp_path)]
+        else:
+            argv = ["verify", "--samples", "2"]
+        again = [str(tmp_path / a) if a.endswith(".json") else a for a in again]
+        prog = " ".join(["polyclass", *command])
+        code, out, err = run(capsys, *argv, *again)
+        assert (code, out) == (1, "")
+        assert last_line(err) == f"{prog}: error: argument {option}: given more than once"
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "y.json").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -74,7 +74,10 @@ class TestSlicingOracle:
         # x_2 = x_1/2 leaves x_2 no value over x_1 = 1, and x_3's bounds
         # without an x_2 term come from the equation x_1 = 2*x_3.
         [(0, 0, 0), (2, 1, 1)],
-    ], ids=["segment", "triangle", "skew-triangle", "pinned-segment"])
+        # The equation x_3 = x_2 pins x_3, and both its halves have an x_2
+        # term, so x_3's bounds are all split off on x_2.
+        [(0, 0, 0), (2, 0, 0), (0, 1, 1)],
+    ], ids=["segment", "triangle", "skew-triangle", "pinned-segment", "pinned-by-x2"])
     def test_kernel_boundaries(self, verts):
         assert_points_match_oracle(Polytope(verts))
 
